@@ -12,9 +12,7 @@
 
 use memctrl::MappingPolicy;
 use rh_bench::{audit_mode, banner, fast_mode, propagate_audit_mode};
-use rh_sim::{
-    run_system, run_system_matrix, run_system_sharded, DefenseSpec, SimConfig, WorkloadSpec,
-};
+use rh_sim::{run_system, run_system_sharded, DefenseSpec, SimConfig, WorkloadSpec};
 
 fn main() {
     let fast = fast_mode();
@@ -46,7 +44,10 @@ fn main() {
 
     for policy in policies {
         println!("--- {} ---", policy.name());
-        for r in run_system_matrix(&sim, policy, &defenses, &workloads, threads, 256) {
+        // Pairs run back-to-back: each run already parallelizes across
+        // channels, so nesting another fan-out would only thrash the pool.
+        let pairs = workloads.iter().flat_map(|w| defenses.iter().map(move |d| (d, w)));
+        for r in pairs.map(|(d, w)| run_system_sharded(&sim, policy, d, w, threads, 256)) {
             assert_eq!(
                 r.stats.merged.accesses, accesses,
                 "{}/{} dropped accesses",

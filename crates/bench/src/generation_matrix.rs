@@ -146,7 +146,8 @@ fn assert_matrix_claims(cfg: &GenerationMatrixConfig, cells: &[GenerationCell]) 
 /// Re-runs every DDR4 cell through the legacy pre-generation path —
 /// `McConfig::single_bank` plus the bare `DefenseSpec` factory — and
 /// diffs the observable counters. This is the executable form of the
-/// refactor's compatibility promise.
+/// refactor's compatibility promise. It stays off the sweep engine (see
+/// [`legacy_run`]) so the engine is never diffed against itself.
 fn diff_ddr4_against_legacy(cfg: &GenerationMatrixConfig, cells: &[GenerationCell]) {
     let ddr4: Vec<&GenerationCell> = cells.iter().filter(|c| c.generation == "ddr4").collect();
     if ddr4.is_empty() {
@@ -187,6 +188,8 @@ fn diff_ddr4_against_legacy(cfg: &GenerationMatrixConfig, cells: &[GenerationCel
 }
 
 /// One run on the legacy DDR4 path, mirroring the matrix's geometry rules.
+/// Builds its controller directly rather than through the sweep engine, so
+/// the diff checks the engine against an independent reference.
 fn legacy_run(
     cfg: &GenerationMatrixConfig,
     t_rh: u64,

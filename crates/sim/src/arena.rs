@@ -22,16 +22,14 @@
 //!   per-ACT touched bits modeling the structural difference between a CAM
 //!   search (whole table) and a sketch probe (`depth` counters).
 
-use std::sync::Mutex;
-
-use dram_model::fault::DisturbanceModel;
-use memctrl::{McBuilder, McConfig, RunStats};
+use dram_model::Generation;
+use memctrl::RunStats;
 use mitigations::{BlockHammerConfig, CometConfig, TableBits};
 use rh_analysis::{ArenaAreaComparison, EnergyModel, FnCertificate};
 use serde::Serialize;
 
-use crate::pool;
-use crate::scenarios::{DefenseSpec, WorkloadSpec};
+use crate::runner::{matrix_mc_config, sweep, Group, RawCell};
+use crate::scenarios::{DefenseSpec, GenSpec, WorkloadSpec};
 
 /// Configuration of one arena sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,15 +80,6 @@ impl ArenaConfig {
             rows_per_bank: 65_536,
             system_banks: 4,
         }
-    }
-
-    fn mc_config(&self, t_rh: u64, workload: &WorkloadSpec) -> McConfig {
-        let model = DisturbanceModel { t_rh, ..DisturbanceModel::ddr4_50k() };
-        let mut cfg = McConfig::single_bank(self.rows_per_bank, Some(model));
-        if workload.is_system_scale() {
-            cfg.geometry.banks_per_rank = self.system_banks;
-        }
-        cfg
     }
 }
 
@@ -145,75 +134,50 @@ pub struct ArenaCell {
     pub energy_overhead: f64,
 }
 
-/// Runs the full arena sweep, one worker-pool job per (threshold, workload)
-/// group, and returns the cells in deterministic
+/// Runs the full arena sweep on the baseline-relative sweep engine, one
+/// group per (threshold, workload), and returns the cells in deterministic
 /// threshold-major/workload/lineup order.
+///
+/// # Panics
+///
+/// Panics with the [`MatrixError`](crate::MatrixError) rendering when any
+/// run panics — every cell runs audited, so that includes a broken
+/// certificate.
 pub fn run_arena(cfg: &ArenaConfig) -> Vec<ArenaCell> {
-    let groups: Vec<(u64, WorkloadSpec)> = cfg
+    let keys: Vec<(u64, &WorkloadSpec)> = cfg
         .thresholds
         .iter()
-        .flat_map(|&t_rh| cfg.workloads.iter().map(move |w| (t_rh, w.clone())))
+        .flat_map(|&t_rh| cfg.workloads.iter().map(move |workload| (t_rh, workload)))
         .collect();
-    let results: Mutex<Vec<(usize, Vec<ArenaCell>)>> = Mutex::new(Vec::new());
-    let jobs: Vec<pool::Job> = groups
+    let groups: Vec<Group<'_>> = keys
         .iter()
-        .enumerate()
-        .map(|(idx, (t_rh, workload))| {
-            let results = &results;
-            let t_rh = *t_rh;
-            pool::job(move |_spawner| {
-                let cells = run_group(cfg, t_rh, workload);
-                results.lock().unwrap().push((idx, cells));
-            })
+        .map(|&(t_rh, workload)| Group {
+            mc: matrix_mc_config(
+                Generation::Ddr4_2400,
+                t_rh,
+                cfg.rows_per_bank,
+                cfg.system_banks,
+                workload,
+            ),
+            workload,
+            defenses: arena_lineup(t_rh).into_iter().map(GenSpec::ddr4).collect(),
         })
         .collect();
-    let threads =
-        std::thread::available_parallelism().map_or(4, usize::from).min(jobs.len()).max(1);
-    pool::run_scoped(threads, jobs);
-    let mut grouped = results.into_inner().unwrap();
-    grouped.sort_by_key(|(idx, _)| *idx);
-    grouped.into_iter().flat_map(|(_, cells)| cells).collect()
+    let (raw, _) =
+        sweep(&groups, cfg.accesses, cfg.seed, true, None).unwrap_or_else(|e| panic!("{e}"));
+    let mut raw = raw.into_iter();
+    let mut cells = Vec::with_capacity(raw.len());
+    for (&(t_rh, workload), group) in keys.iter().zip(&groups) {
+        let banks = group.mc.geometry.total_banks();
+        let area = ArenaAreaComparison::at_threshold(t_rh, banks, cfg.rows_per_bank)
+            .expect("arena thresholds must derive");
+        for (spec, cell) in group.defenses.iter().zip(raw.by_ref()) {
+            cells.push(score_cell(cfg, &spec.defense, workload, t_rh, banks, &area, &cell));
+        }
+    }
+    cells
 }
 
-/// One (threshold, workload) group: the defense-free baseline plus every
-/// lineup tracker on the identical trace.
-fn run_group(cfg: &ArenaConfig, t_rh: u64, workload: &WorkloadSpec) -> Vec<ArenaCell> {
-    let mc_cfg = cfg.mc_config(t_rh, workload);
-    let banks = mc_cfg.geometry.total_banks();
-    let area = ArenaAreaComparison::at_threshold(t_rh, banks, cfg.rows_per_bank)
-        .expect("arena thresholds must derive");
-    let (baseline, _) = run_cell(&mc_cfg, &DefenseSpec::None, workload, cfg.accesses, cfg.seed);
-    arena_lineup(t_rh)
-        .into_iter()
-        .map(|spec| {
-            let (stats, max_disturbance) =
-                run_cell(&mc_cfg, &spec, workload, cfg.accesses, cfg.seed);
-            score_cell(cfg, &spec, workload, t_rh, banks, &area, &stats, &baseline, max_disturbance)
-        })
-        .collect()
-}
-
-/// Executes one audited run and extracts the ground-truth worst-case
-/// disturbance from the per-bank oracles before the controller drops.
-fn run_cell(
-    mc_cfg: &McConfig,
-    spec: &DefenseSpec,
-    workload: &WorkloadSpec,
-    accesses: u64,
-    seed: u64,
-) -> (RunStats, u64) {
-    let rows = mc_cfg.geometry.rows_per_bank;
-    let mut mc = McBuilder::new(mc_cfg.clone()).defenses(spec).audit(true).build();
-    let mut w = workload.build(mc_cfg.geometry.total_banks() as u16, rows, seed);
-    let stats = mc.run(w.as_mut(), accesses);
-    crate::runner::audit_run(&mc, &stats, spec, workload);
-    let max_disturbance = (0..mc_cfg.geometry.total_banks() as usize)
-        .map(|bank| mc.oracle(bank).expect("arena runs arm the fault oracle").max_disturbance())
-        .fold(0.0_f64, f64::max);
-    (stats, max_disturbance.ceil() as u64)
-}
-
-#[allow(clippy::too_many_arguments)]
 fn score_cell(
     cfg: &ArenaConfig,
     spec: &DefenseSpec,
@@ -221,10 +185,10 @@ fn score_cell(
     t_rh: u64,
     banks: u32,
     area: &ArenaAreaComparison,
-    stats: &RunStats,
-    baseline: &RunStats,
-    max_disturbance: u64,
+    cell: &RawCell,
 ) -> ArenaCell {
+    let stats = &cell.run.stats;
+    let max_disturbance = cell.run.max_disturbance;
     let bits = table_bits_for(spec, area);
     let (cert_kind, cert, observed_margin) = certificate_for(spec, t_rh, cfg.rows_per_bank)
         .map_or_else(
@@ -251,14 +215,14 @@ fn score_cell(
         defense: spec.name(),
         spec: spec.spec_string(),
         bit_flips: stats.bit_flips,
-        baseline_bit_flips: baseline.bit_flips,
+        baseline_bit_flips: cell.baseline.stats.bit_flips,
         max_disturbance,
         cert_kind,
         cert_passes,
         analytic_fn_bound,
         design_margin,
         observed_margin,
-        slowdown: stats.slowdown_vs(baseline),
+        slowdown: stats.slowdown_vs(&cell.baseline.stats),
         throttled_acts: stats.throttled_acts,
         cam_bits: bits.cam_bits,
         sram_bits: bits.sram_bits,

@@ -10,7 +10,7 @@
 //! * **harness faults** hit the sweep itself: telemetry sink outages are
 //!   ridden out by a [`RetrySink`] over a scripted [`FlakySink`], and
 //!   injected worker stalls are cut short by the pool's cooperative
-//!   watchdog ([`crate::pool::run_scoped_watched`]).
+//!   watchdog ([`crate::pool::run_scoped`]).
 //!
 //! Unlike [`crate::try_run_matrix`], cells are *standalone*: no
 //! defense-free baseline and no cross-run audit, because duplicated
@@ -369,9 +369,8 @@ pub fn run_matrix_faulted(
             }
         }
     }
-    let threads =
-        std::thread::available_parallelism().map_or(4, usize::from).min(jobs.len()).max(1);
-    let pool_report = pool::run_scoped_watched(threads, jobs, None, Some(SWEEP_WATCHDOG));
+    let threads = pool::threads_for(jobs.len());
+    let ((), pool_report) = pool::run_scoped(threads, jobs, None, Some(SWEEP_WATCHDOG), || ());
     let cells = slots
         .into_iter()
         .map(|slot| {

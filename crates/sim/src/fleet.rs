@@ -637,7 +637,7 @@ fn stream_segment(
         .zip(consumers)
         .map(|(shard, rx)| pool::job(move |sp| pump(shard, rx, sp)))
         .collect();
-    pool::run_scoped_with_driver(threads, jobs, move || -> Result<(), FleetError> {
+    pool::run_scoped(threads, jobs, None, None, move || -> Result<(), FleetError> {
         let mut pending: Vec<Vec<StampedAccess>> =
             (0..channels).map(|_| Vec::with_capacity(batch)).collect();
         for _ in 0..n {
@@ -663,6 +663,7 @@ fn stream_segment(
         // on the error paths above too.
         Ok(())
     })
+    .0
 }
 
 /// Configuration of one fleet replay.

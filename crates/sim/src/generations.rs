@@ -15,15 +15,11 @@
 //! ground-truth disturbance, and the end-of-run invariant audit
 //! cross-checks both.
 
-use std::sync::Mutex;
-
-use dram_model::fault::DisturbanceModel;
 use dram_model::Generation;
-use memctrl::{McBuilder, McConfig, RunStats};
 use rh_analysis::EnergyModel;
 use serde::Serialize;
 
-use crate::pool;
+use crate::runner::{matrix_mc_config, sweep, Group, RawCell, Run};
 use crate::scenarios::{DefenseSpec, GenSpec, WorkloadSpec};
 
 /// Configuration of one cross-generation sweep.
@@ -82,16 +78,6 @@ impl GenerationMatrixConfig {
     pub fn thresholds_for(&self, generation: Generation) -> &'static [u64] {
         let presets = generation.t_rh_presets();
         &presets[presets.len().saturating_sub(self.preset_tail)..]
-    }
-
-    fn mc_config(&self, generation: Generation, t_rh: u64, workload: &WorkloadSpec) -> McConfig {
-        let model = DisturbanceModel { t_rh, ..DisturbanceModel::ddr4_50k() };
-        let mut cfg =
-            McConfig::single_bank_for_generation(generation, self.rows_per_bank, Some(model));
-        if workload.is_system_scale() {
-            cfg.geometry.banks_per_rank = self.system_banks;
-        }
-        cfg
     }
 }
 
@@ -154,111 +140,104 @@ pub struct GenerationCell {
     pub energy_overhead: f64,
 }
 
-/// Runs the cross-generation sweep, one worker-pool job per (generation,
-/// threshold, workload) group, and returns the cells in deterministic
-/// generation-major/threshold/workload/lineup order.
+impl GenerationCell {
+    /// Scores one run of `spec` against the defense-free `baseline` of the
+    /// identical trace.
+    fn new(
+        generation: Generation,
+        t_rh: u64,
+        workload: &WorkloadSpec,
+        spec: &GenSpec,
+        run: &Run,
+        baseline: &Run,
+        banks: u32,
+    ) -> Self {
+        let stats = &run.stats;
+        GenerationCell {
+            generation: generation.name().to_owned(),
+            t_rh,
+            workload: workload.name(),
+            defense: spec.defense.name(),
+            spec: spec.spec_string(),
+            rfm_mode: spec.issues_rfm(),
+            bit_flips: stats.bit_flips,
+            baseline_bit_flips: baseline.stats.bit_flips,
+            max_disturbance: run.max_disturbance,
+            protected: stats.bit_flips == 0 && run.max_disturbance < t_rh,
+            rfm_commands: stats.rfm_commands,
+            forced_rfms: stats.forced_rfms,
+            defense_refresh_commands: stats.defense_refresh_commands,
+            slowdown: stats.slowdown_vs(&baseline.stats),
+            throttled_acts: stats.throttled_acts,
+            energy_overhead: EnergyModel::for_timing(&generation.timing()).refresh_energy_overhead(
+                stats.victim_rows_refreshed,
+                stats.completion,
+                banks,
+            ),
+        }
+    }
+}
+
+/// Runs the cross-generation sweep on the baseline-relative sweep engine,
+/// one group per (generation, threshold, workload), and returns the cells
+/// in deterministic generation-major/threshold/workload/lineup order. The
+/// lineup's defense-free entry is scored from the group's baseline run
+/// rather than run twice.
+///
+/// # Panics
+///
+/// Panics with the [`MatrixError`](crate::MatrixError) rendering when any
+/// run panics — every cell runs audited, so that includes a broken
+/// certificate.
 pub fn run_generation_matrix(cfg: &GenerationMatrixConfig) -> Vec<GenerationCell> {
-    let groups: Vec<(Generation, u64, WorkloadSpec)> = cfg
+    let keys: Vec<(Generation, u64, &WorkloadSpec)> = cfg
         .generations
         .iter()
         .flat_map(|&g| {
             cfg.thresholds_for(g)
                 .iter()
-                .flat_map(move |&t_rh| cfg.workloads.iter().map(move |w| (g, t_rh, w.clone())))
+                .flat_map(move |&t_rh| cfg.workloads.iter().map(move |w| (g, t_rh, w)))
         })
         .collect();
-    let results: Mutex<Vec<(usize, Vec<GenerationCell>)>> = Mutex::new(Vec::new());
-    let jobs: Vec<pool::Job> = groups
+    let groups: Vec<Group<'_>> = keys
         .iter()
-        .enumerate()
-        .map(|(idx, (generation, t_rh, workload))| {
-            let results = &results;
-            let (generation, t_rh) = (*generation, *t_rh);
-            pool::job(move |_spawner| {
-                let cells = run_group(cfg, generation, t_rh, workload);
-                results.lock().unwrap().push((idx, cells));
-            })
+        .map(|&(generation, t_rh, workload)| Group {
+            mc: matrix_mc_config(generation, t_rh, cfg.rows_per_bank, cfg.system_banks, workload),
+            workload,
+            defenses: generation_lineup(generation, t_rh)
+                .into_iter()
+                .filter(|spec| !matches!(spec.defense, DefenseSpec::None))
+                .collect(),
         })
         .collect();
-    let threads =
-        std::thread::available_parallelism().map_or(4, usize::from).min(jobs.len()).max(1);
-    pool::run_scoped(threads, jobs);
-    let mut grouped = results.into_inner().unwrap();
-    grouped.sort_by_key(|(idx, _)| *idx);
-    grouped.into_iter().flat_map(|(_, cells)| cells).collect()
-}
-
-/// One (generation, threshold, workload) group: the defense-free baseline
-/// plus every lineup defense on the identical trace.
-fn run_group(
-    cfg: &GenerationMatrixConfig,
-    generation: Generation,
-    t_rh: u64,
-    workload: &WorkloadSpec,
-) -> Vec<GenerationCell> {
-    let mc_cfg = cfg.mc_config(generation, t_rh, workload);
-    let energy = EnergyModel::for_timing(&generation.timing());
-    let banks = mc_cfg.geometry.total_banks();
-    let lineup = generation_lineup(generation, t_rh);
-    let (baseline, baseline_dist) = run_cell(&mc_cfg, &lineup[0], workload, cfg.accesses, cfg.seed);
-    lineup
-        .iter()
-        .map(|spec| {
-            let (stats, max_disturbance) = if matches!(spec.defense, DefenseSpec::None) {
-                (baseline.clone(), baseline_dist)
+    let (raw, _) =
+        sweep(&groups, cfg.accesses, cfg.seed, true, None).unwrap_or_else(|e| panic!("{e}"));
+    let mut raw = raw.into_iter();
+    let mut cells = Vec::new();
+    for (&(generation, t_rh, workload), group) in keys.iter().zip(&groups) {
+        let banks = group.mc.geometry.total_banks();
+        let defended: Vec<RawCell> = raw.by_ref().take(group.defenses.len()).collect();
+        let baseline = &defended.first().expect("the lineup holds trackers").baseline;
+        let mut runs = defended.iter().map(|cell| &cell.run);
+        for spec in generation_lineup(generation, t_rh) {
+            let run = if matches!(spec.defense, DefenseSpec::None) {
+                &**baseline
             } else {
-                run_cell(&mc_cfg, spec, workload, cfg.accesses, cfg.seed)
+                runs.next().expect("one raw cell per defended lineup entry")
             };
-            GenerationCell {
-                generation: generation.name().to_owned(),
-                t_rh,
-                workload: workload.name(),
-                defense: spec.defense.name(),
-                spec: spec.spec_string(),
-                rfm_mode: spec.issues_rfm(),
-                bit_flips: stats.bit_flips,
-                baseline_bit_flips: baseline.bit_flips,
-                max_disturbance,
-                protected: stats.bit_flips == 0 && max_disturbance < t_rh,
-                rfm_commands: stats.rfm_commands,
-                forced_rfms: stats.forced_rfms,
-                defense_refresh_commands: stats.defense_refresh_commands,
-                slowdown: stats.slowdown_vs(&baseline),
-                throttled_acts: stats.throttled_acts,
-                energy_overhead: energy.refresh_energy_overhead(
-                    stats.victim_rows_refreshed,
-                    stats.completion,
-                    banks,
-                ),
-            }
-        })
-        .collect()
-}
-
-/// Executes one audited run and extracts the ground-truth worst-case
-/// disturbance from the per-bank oracles before the controller drops.
-fn run_cell(
-    mc_cfg: &McConfig,
-    spec: &GenSpec,
-    workload: &WorkloadSpec,
-    accesses: u64,
-    seed: u64,
-) -> (RunStats, u64) {
-    let rows = mc_cfg.geometry.rows_per_bank;
-    let mut mc = McBuilder::new(mc_cfg.clone()).defenses(spec).audit(true).build();
-    let mut w = workload.build(mc_cfg.geometry.total_banks() as u16, rows, seed);
-    let stats = mc.run(w.as_mut(), accesses);
-    crate::runner::audit_run(&mc, &stats, &spec.defense, workload);
-    let max_disturbance = (0..mc_cfg.geometry.total_banks() as usize)
-        .map(|bank| mc.oracle(bank).expect("matrix runs arm the fault oracle").max_disturbance())
-        .fold(0.0_f64, f64::max);
-    (stats, max_disturbance.ceil() as u64)
+            cells
+                .push(GenerationCell::new(generation, t_rh, workload, &spec, run, baseline, banks));
+        }
+    }
+    cells
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::DefenseSpec;
+    use crate::runner::execute;
+    use dram_model::fault::DisturbanceModel;
+    use memctrl::{McBuilder, McConfig};
 
     #[test]
     fn lineup_covers_baselines_and_every_tracker() {
@@ -293,6 +272,8 @@ mod tests {
             DefenseSpec::BlockHammer { t_rh },
         ] {
             let workload = WorkloadSpec::S3;
+            // Built directly, not through the sweep engine's `execute`, so
+            // the engine is compared against an independent reference.
             let legacy = {
                 let mut mc =
                     McBuilder::new(legacy_cfg.clone()).defenses(&defense).audit(true).build();
@@ -300,8 +281,8 @@ mod tests {
                 mc.run(w.as_mut(), 30_000)
             };
             let (generational, _) =
-                run_cell(&gen_cfg, &GenSpec::ddr4(defense), &workload, 30_000, 42);
-            assert_eq!(legacy, generational, "{} diverged on DDR4", defense.name());
+                execute(&gen_cfg, &GenSpec::ddr4(defense), &workload, 30_000, 42, true, None);
+            assert_eq!(legacy, generational.stats, "{} diverged on DDR4", defense.name());
         }
     }
 

@@ -9,10 +9,14 @@
 //! * [`scenarios`] — the catalog: [`DefenseSpec`] (Graphene, PARA, PRoHIT,
 //!   MRLoc, CBT, TWiCe, Ideal, None) and [`WorkloadSpec`] (S1–S4, the
 //!   Figure 7 patterns, SPEC-like mixes).
-//! * [`runner`] — baseline-relative execution of one (defense, workload)
-//!   pair and parallel matrices of pairs.
-//! * [`pool`] — the std-only work-stealing thread pool the matrix sweep
-//!   fans its (workload × defense) grid out on.
+//! * [`runner`] — the one baseline-relative sweep engine: each defense
+//!   runs on the same trace as a shared defense-free baseline, in parallel.
+//!   [`run_pair`] and the Figure 8/9 matrices score its cells as
+//!   [`SimReport`]s; [`arena`] and [`generations`] score the same cells
+//!   their own way.
+//! * [`pool`] — the std-only work-stealing thread pool every parallel path
+//!   (sweeps, the resilience matrix, the streaming pipelines) runs on,
+//!   behind one entry point.
 //! * [`sharded`] — the full-system path: accesses streamed through a
 //!   [`memctrl::MappingPolicy`] router into per-channel shards that drain
 //!   bounded [`spsc`] queues concurrently on the same pool, bit-identical
@@ -23,9 +27,9 @@
 //!   defenses and workloads, measuring false negatives, audit detections,
 //!   and graceful degradation under injected tracker, controller, and
 //!   harness faults.
-//! * [`fleet`] — bounded-memory fleet replay: RHT3 traces streamed from
+//! * [`fleet`] — bounded-memory fleet replay: RHT4 traces streamed from
 //!   disk through the sharded pipeline in checkpointed segments, with
-//!   bit-identical kill/resume via `fleetckpt.v1` checkpoints and
+//!   bit-identical kill/resume via `fleetckpt.v2` checkpoints and
 //!   multi-tenant trace synthesis.
 //! * [`arena`] — the tracker arena: Graphene, CoMeT, ABACuS, and
 //!   BlockHammer head to head across attack workloads and thresholds,
@@ -79,4 +83,4 @@ pub use runner::{
     CellFailure, CellTelemetry, MatrixError, MatrixTelemetry, SimConfig, SimReport, TelemetrySpec,
 };
 pub use scenarios::{DefenseSpec, GenSpec, SpecParseError, WorkloadSpec};
-pub use sharded::{run_system, run_system_matrix, run_system_sharded, SystemReport};
+pub use sharded::{run_system, run_system_sharded, SystemReport};

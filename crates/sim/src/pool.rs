@@ -1,21 +1,26 @@
 //! A minimal scoped work-stealing thread pool (std-only).
 //!
-//! [`run_scoped`] executes a set of jobs on a fixed number of worker
-//! threads. Each worker owns a deque; it pops from its own deque first and
-//! steals from siblings when empty. Jobs receive a [`Spawner`] and may
-//! enqueue further jobs mid-flight — the mechanism [`crate::run_matrix`]
-//! uses to fan a workload's per-defense runs out as soon as that
-//! workload's baseline finishes, without waiting for the other baselines.
+//! [`run_scoped`] — the one entry point — executes a set of jobs on a fixed
+//! number of worker threads. Each worker owns a deque; it pops from its own
+//! deque first and steals from siblings when empty. Jobs receive a
+//! [`Spawner`] and may enqueue further jobs mid-flight — the mechanism the
+//! baseline-relative sweep engine ([`crate::try_run_matrix_telemetry`],
+//! which the arena and generation matrix also run on) uses to fan a
+//! group's per-defense runs out as soon as that group's baseline finishes,
+//! without waiting for the other baselines.
 //!
-//! Why not one thread per job: a sweep grid is (workloads × defenses)
-//! jobs of wildly different costs; stealing keeps every core busy until the
-//! global queue drains, and the thread count stays bounded by the host's
+//! Why not one thread per job: a sweep grid is (groups × defenses) jobs of
+//! wildly different costs; stealing keeps every core busy until the global
+//! queue drains, and the thread count stays bounded by the host's
 //! parallelism rather than the grid size.
 //!
-//! [`run_scoped_watched`] adds a per-job cooperative watchdog: a monitor
-//! thread flags jobs running past a timeout ([`Spawner::watchdog_tripped`])
-//! so stalled jobs — the resilience sweep injects exactly such stalls — can
-//! abandon the wait, and the sweep completes instead of hanging.
+//! Three optional hooks ride on the same entry point: a progress observer
+//! (the sweep's `sweep.jobs_done` series), a per-job cooperative watchdog
+//! (a monitor thread flags jobs running past a timeout through
+//! [`Spawner::watchdog_tripped`], so the stalls the resilience sweep
+//! injects are cut short instead of hanging it), and a driver closure run
+//! on the calling thread (the producer of the streaming sharded and fleet
+//! pipelines).
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -40,7 +45,7 @@ where
     Box::new(f)
 }
 
-/// Per-job watchdog configuration (see [`run_scoped_watched`]).
+/// Per-job watchdog configuration (see [`run_scoped`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// A job running longer than this is *tripped*: counted in
@@ -115,6 +120,50 @@ struct Shared<'env> {
     watch: Option<WatchState>,
 }
 
+impl<'env> Shared<'env> {
+    /// Pool state for `threads` workers, the seed jobs round-robined over
+    /// their deques so workers start without stealing.
+    fn new(
+        threads: usize,
+        initial: Vec<Job<'env>>,
+        observer: Option<&'env (dyn Fn(usize) + Sync)>,
+        watchdog: Option<WatchdogConfig>,
+    ) -> Self {
+        assert!(threads > 0, "pool needs at least one worker");
+        let mut shared = Shared {
+            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            pending: AtomicUsize::new(initial.len()),
+            completed: AtomicUsize::new(0),
+            observer,
+            idle: Mutex::new(()),
+            wakeup: Condvar::new(),
+            panic: Mutex::new(None),
+            watch: watchdog.map(|cfg| WatchState {
+                started: (0..threads).map(|_| AtomicU64::new(0)).collect(),
+                tripped: (0..threads).map(|_| AtomicBool::new(false)).collect(),
+                trips: AtomicU64::new(0),
+                epoch: Instant::now(),
+                cfg,
+            }),
+        };
+        for (i, job) in initial.into_iter().enumerate() {
+            shared.deques[i % threads].get_mut().expect("fresh mutex").push_back(job);
+        }
+        shared
+    }
+
+    /// The drained pool's accounting; re-raises the first job panic.
+    fn finish(mut self) -> PoolReport {
+        if let Some(payload) = self.panic.get_mut().expect("fresh mutex").take() {
+            resume_unwind(payload);
+        }
+        PoolReport {
+            jobs_completed: self.completed.load(Ordering::SeqCst),
+            watchdog_trips: self.watch.as_ref().map_or(0, |w| w.trips.load(Ordering::SeqCst)),
+        }
+    }
+}
+
 /// Handle through which a running job submits more jobs to the pool.
 pub struct Spawner<'env, 'pool> {
     shared: &'pool Shared<'env>,
@@ -147,80 +196,51 @@ impl<'env> Spawner<'env, '_> {
 }
 
 /// Runs `initial` jobs (plus everything they spawn) to completion on
-/// `threads` workers, blocking until the queue drains.
+/// `threads` workers while `driver` executes on the **calling thread**,
+/// returning the driver's result and the pool's accounting once both the
+/// driver and every job have finished. Callers without a driver pass
+/// `|| ()`.
 ///
 /// Jobs may borrow from the caller's environment (`'env`); results are
 /// returned through whatever shared slots the jobs capture.
 ///
-/// # Panics
-///
-/// Panics if `threads == 0`, or re-raises the **first** panic any job hit —
-/// but only after the remaining jobs have run to completion. A panicking
-/// job used to leave `pending` stuck above zero, parking every worker
-/// forever (and poisoning the caller's result slots); now the worker
-/// catches the unwind, finishes the queue, and the payload is re-thrown
-/// from the calling thread.
-pub fn run_scoped<'env>(threads: usize, initial: Vec<Job<'env>>) {
-    run_scoped_observed(threads, initial, None);
-}
-
-/// [`run_scoped`] with a progress observer: after every job completes
-/// (spawned jobs included, panicked jobs included), `observer` is called
-/// with the total number of jobs finished so far. Callers use it to stream
-/// live sweep progress into a telemetry sink. The observer runs on worker
-/// threads and must be `Sync`, cheap, and panic-free.
-///
-/// # Panics
-///
-/// Same contract as [`run_scoped`].
-pub fn run_scoped_observed<'env>(
-    threads: usize,
-    initial: Vec<Job<'env>>,
-    observer: Option<&'env (dyn Fn(usize) + Sync)>,
-) {
-    run_scoped_watched(threads, initial, observer, None);
-}
-
-/// [`run_scoped_observed`] with an optional per-job watchdog.
-///
-/// When `watchdog` is set, a dedicated monitor thread checks every running
-/// job against [`WatchdogConfig::timeout`]; an overrunning job is counted
-/// in [`PoolReport::watchdog_trips`] and its [`Spawner::watchdog_tripped`]
-/// flag flips, letting a cooperative job cut a stalled wait short so the
-/// sweep still drains. The watchdog cannot preempt a job that never polls
-/// the flag — it detects and reports, the job cooperates.
+/// * `observer` is called after every job completes (spawned and panicked
+///   jobs included) with the total number finished so far — live sweep
+///   progress for telemetry. It runs on worker threads and must be cheap
+///   and panic-free.
+/// * `watchdog` starts a monitor thread that checks every running job
+///   against [`WatchdogConfig::timeout`]; an overrunning job is counted in
+///   [`PoolReport::watchdog_trips`] and its [`Spawner::watchdog_tripped`]
+///   flag flips, letting a cooperative job cut a stalled wait short so the
+///   sweep still drains. The watchdog cannot preempt a job that never
+///   polls the flag — it detects and reports, the job cooperates.
+/// * `driver` is the producer side of a pipeline: it feeds bounded queues
+///   that the jobs drain (the streaming sharded runner routes accesses
+///   here while shard jobs execute them). Jobs that find their queue empty
+///   should re-enqueue themselves via [`Spawner::spawn`] and return, so a
+///   worker is never parked on a queue that a co-scheduled job must fill —
+///   that cooperative yield keeps the pipeline live even when `threads` is
+///   smaller than the number of consumer jobs.
 ///
 /// # Panics
 ///
-/// Same contract as [`run_scoped`].
-pub fn run_scoped_watched<'env>(
+/// Panics if `threads == 0`. Re-raises a driver panic after the jobs drain
+/// (a driver that owns the producer halves closes its queues by unwinding,
+/// so consumers still terminate), or otherwise the **first** panic any job
+/// hit — but only after the remaining jobs have run to completion. A
+/// panicking job used to leave `pending` stuck above zero, parking every
+/// worker forever (and poisoning the caller's result slots); now the
+/// worker catches the unwind, finishes the queue, and the payload is
+/// re-thrown from the calling thread.
+pub fn run_scoped<'env, R>(
     threads: usize,
     initial: Vec<Job<'env>>,
     observer: Option<&'env (dyn Fn(usize) + Sync)>,
     watchdog: Option<WatchdogConfig>,
-) -> PoolReport {
-    assert!(threads > 0, "pool needs at least one worker");
-    let mut shared = Shared {
-        deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        pending: AtomicUsize::new(initial.len()),
-        completed: AtomicUsize::new(0),
-        observer,
-        idle: Mutex::new(()),
-        wakeup: Condvar::new(),
-        panic: Mutex::new(None),
-        watch: watchdog.map(|cfg| WatchState {
-            started: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            tripped: (0..threads).map(|_| AtomicBool::new(false)).collect(),
-            trips: AtomicU64::new(0),
-            epoch: Instant::now(),
-            cfg,
-        }),
-    };
-    // Round-robin the seed jobs so workers start without stealing.
-    for (i, job) in initial.into_iter().enumerate() {
-        shared.deques[i % threads].get_mut().expect("fresh mutex").push_back(job);
-    }
-    std::thread::scope(|scope| {
+    driver: impl FnOnce() -> R,
+) -> (R, PoolReport) {
+    let shared = Shared::new(threads, initial, observer, watchdog);
+    let result = std::thread::scope(|scope| {
         let shared = &shared;
         for worker in 0..threads {
             scope.spawn(move || worker_loop(shared, worker));
@@ -228,69 +248,18 @@ pub fn run_scoped_watched<'env>(
         if shared.watch.is_some() {
             scope.spawn(move || watchdog_loop(shared));
         }
-    });
-    let report = PoolReport {
-        jobs_completed: shared.completed.load(Ordering::SeqCst),
-        watchdog_trips: shared.watch.as_ref().map_or(0, |w| w.trips.load(Ordering::SeqCst)),
-    };
-    if let Some(payload) = shared.panic.get_mut().expect("fresh mutex").take() {
-        resume_unwind(payload);
-    }
-    report
-}
-
-/// Runs `initial` jobs on `threads` workers while `driver` executes on the
-/// **calling thread** inside the same scope, returning the driver's result
-/// once both the driver and every job (including spawned ones) have
-/// finished.
-///
-/// This is the harness for producer/consumer pipelines: the caller's
-/// closure feeds bounded queues that the jobs drain (the streaming sharded
-/// runner routes accesses here while shard jobs execute them). Jobs that
-/// find their queue empty should re-enqueue themselves via
-/// [`Spawner::spawn`] and return, so a worker is never parked on a queue
-/// that a co-scheduled job must fill — that cooperative yield is what keeps
-/// the pipeline live even when `threads` is smaller than the number of
-/// consumer jobs.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`; re-raises a driver panic after the jobs drain
-/// (a driver that owns the producer halves closes its queues by unwinding,
-/// so consumers still terminate), or the first job panic otherwise.
-pub fn run_scoped_with_driver<'env, R>(
-    threads: usize,
-    initial: Vec<Job<'env>>,
-    driver: impl FnOnce() -> R,
-) -> R {
-    assert!(threads > 0, "pool needs at least one worker");
-    let mut shared = Shared {
-        deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        pending: AtomicUsize::new(initial.len()),
-        completed: AtomicUsize::new(0),
-        observer: None,
-        idle: Mutex::new(()),
-        wakeup: Condvar::new(),
-        panic: Mutex::new(None),
-        watch: None,
-    };
-    for (i, job) in initial.into_iter().enumerate() {
-        shared.deques[i % threads].get_mut().expect("fresh mutex").push_back(job);
-    }
-    let result = std::thread::scope(|scope| {
-        let shared = &shared;
-        for worker in 0..threads {
-            scope.spawn(move || worker_loop(shared, worker));
-        }
-        // The driver runs on this thread; the scope joins the workers after
-        // it returns (or unwinds — dropping its producer handles closes the
-        // queues, so the workers drain and exit either way).
+        // The scope joins the workers after the driver returns (or unwinds —
+        // dropping its producer handles closes the queues, so the workers
+        // drain and exit either way).
         driver()
     });
-    if let Some(payload) = shared.panic.get_mut().expect("fresh mutex").take() {
-        resume_unwind(payload);
-    }
-    result
+    (result, shared.finish())
+}
+
+/// Worker threads for a sweep of at most `jobs` concurrently runnable
+/// jobs: the host's parallelism, capped so no worker only idles.
+pub(crate) fn threads_for(jobs: usize) -> usize {
+    std::thread::available_parallelism().map_or(4, usize::from).min(jobs).max(1)
 }
 
 /// The monitor: wakes every [`WatchdogConfig::poll`], flags any job running
@@ -388,7 +357,7 @@ mod tests {
                 })
             })
             .collect();
-        run_scoped(4, jobs);
+        run_scoped(4, jobs, None, None, || ());
         assert_eq!(hits.load(Ordering::SeqCst), 100);
     }
 
@@ -408,7 +377,7 @@ mod tests {
                 })
             })
             .collect();
-        run_scoped(3, jobs);
+        run_scoped(3, jobs, None, None, || ());
         assert_eq!(hits.load(Ordering::SeqCst), 80);
     }
 
@@ -426,7 +395,7 @@ mod tests {
                 });
             }
         })];
-        run_scoped(4, seed);
+        run_scoped(4, seed, None, None, || ());
         assert_eq!(hits.load(Ordering::SeqCst), 64);
     }
 
@@ -442,13 +411,13 @@ mod tests {
                 });
             });
         })];
-        run_scoped(1, seed);
+        run_scoped(1, seed, None, None, || ());
         assert_eq!(hits.load(Ordering::SeqCst), 2);
     }
 
     #[test]
     fn empty_job_list_returns_immediately() {
-        run_scoped(2, Vec::new());
+        run_scoped(2, Vec::new(), None, None, || ());
     }
 
     #[test]
@@ -464,7 +433,7 @@ mod tests {
                 })
             })
             .collect();
-        run_scoped_observed(3, jobs, Some(&observer));
+        run_scoped(3, jobs, Some(&observer), None, || ());
         // 5 seeds + 5 children all reported.
         assert_eq!(max_seen.load(Ordering::SeqCst), 10);
     }
@@ -472,7 +441,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_panics() {
-        run_scoped(0, Vec::new());
+        run_scoped(0, Vec::new(), None, None, || ());
     }
 
     #[test]
@@ -490,7 +459,7 @@ mod tests {
             })
             .collect();
         jobs.insert(10, job(|_| panic!("boom in job 10")));
-        let result = catch_unwind(AssertUnwindSafe(|| run_scoped(4, jobs)));
+        let result = catch_unwind(AssertUnwindSafe(|| run_scoped(4, jobs, None, None, || ())));
         let payload = result.expect_err("the job panic must propagate");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom in job 10"));
         assert_eq!(hits.load(Ordering::SeqCst), 20, "surviving jobs must all run");
@@ -500,8 +469,8 @@ mod tests {
     fn first_of_many_panics_wins() {
         let jobs: Vec<Job<'_>> = vec![job(|_| panic!("first")), job(|_| panic!("second"))];
         // Single worker makes the execution order deterministic.
-        let payload =
-            catch_unwind(AssertUnwindSafe(|| run_scoped(1, jobs))).expect_err("must panic");
+        let payload = catch_unwind(AssertUnwindSafe(|| run_scoped(1, jobs, None, None, || ())))
+            .expect_err("must panic");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"first"));
     }
 
@@ -525,7 +494,7 @@ mod tests {
                 hits_ref.fetch_add(1, Ordering::SeqCst);
             })
         }));
-        let report = run_scoped_watched(2, jobs, None, Some(WatchdogConfig::after_millis(20)));
+        let report = run_scoped(2, jobs, None, Some(WatchdogConfig::after_millis(20)), || ()).1;
         assert_eq!(report.jobs_completed, 9);
         assert!(report.watchdog_trips >= 1);
         assert_eq!(hits.load(Ordering::SeqCst), 8);
@@ -534,7 +503,7 @@ mod tests {
     #[test]
     fn fast_jobs_never_trip_the_watchdog() {
         let jobs: Vec<Job<'_>> = (0..16).map(|_| job(|_| {})).collect();
-        let report = run_scoped_watched(4, jobs, None, Some(WatchdogConfig::after_millis(5_000)));
+        let report = run_scoped(4, jobs, None, Some(WatchdogConfig::after_millis(5_000)), || ()).1;
         assert_eq!(report.jobs_completed, 16);
         assert_eq!(report.watchdog_trips, 0);
     }
@@ -544,7 +513,7 @@ mod tests {
         let jobs: Vec<Job<'_>> = vec![job(|sp| {
             assert!(!sp.watchdog_tripped());
         })];
-        let report = run_scoped_watched(1, jobs, None, None);
+        let report = run_scoped(1, jobs, None, None, || ()).1;
         assert_eq!(report.jobs_completed, 1);
         assert_eq!(report.watchdog_trips, 0);
     }
@@ -566,7 +535,7 @@ mod tests {
             }
             consumed_ref.fetch_add(1, Ordering::SeqCst);
         })];
-        let answer = run_scoped_with_driver(2, jobs, move || {
+        let (answer, _) = run_scoped(2, jobs, None, None, move || {
             // The job is blocked on this store: if the driver did not run
             // concurrently with the pool, this would deadlock.
             flag_ref.store(true, Ordering::Release);
@@ -588,7 +557,7 @@ mod tests {
             })
             .collect();
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            run_scoped_with_driver(2, jobs, || -> u64 { panic!("driver boom") })
+            run_scoped(2, jobs, None, None, || -> u64 { panic!("driver boom") })
         }))
         .expect_err("driver panic must propagate");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"driver boom"));
@@ -605,8 +574,8 @@ mod tests {
                 hits_ref.fetch_add(1, Ordering::SeqCst);
             });
         })];
-        let payload =
-            catch_unwind(AssertUnwindSafe(|| run_scoped(2, seed))).expect_err("must panic");
+        let payload = catch_unwind(AssertUnwindSafe(|| run_scoped(2, seed, None, None, || ())))
+            .expect_err("must panic");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"child panic"));
         assert_eq!(hits.load(Ordering::SeqCst), 1);
     }

@@ -2,8 +2,10 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 
 use dram_model::fault::DisturbanceModel;
+use dram_model::Generation;
 use memctrl::{
     DefenseFactory, McBuilder, McConfig, MemoryController, RunStats, StatsAudit, TelemetryTap,
 };
@@ -11,7 +13,8 @@ use rh_analysis::EnergyModel;
 use serde::{Deserialize, Serialize};
 use telemetry::{Cadence, MetricsSink, NoopSink, Recorder, SharedSink, Snapshot};
 
-use crate::scenarios::{DefenseSpec, WorkloadSpec};
+use crate::pool;
+use crate::scenarios::{DefenseSpec, GenSpec, WorkloadSpec};
 
 /// Telemetry wiring for a campaign: how often instrumented defenses and the
 /// controller tap sample, how much history each per-bank ring keeps, and
@@ -23,8 +26,8 @@ pub struct TelemetrySpec {
     /// Ring capacity per (metric, bank) series.
     pub ring_capacity: usize,
     /// Wire the instrumentation but with a [`NoopSink`]: nothing is
-    /// recorded and the run must be bit-identical to an uninstrumented one.
-    /// This is the configuration `perf_snapshot` measures.
+    /// recorded and the run must be bit-identical to an uninstrumented one
+    /// (the `telemetry_matrix` tests pin this).
     pub noop: bool,
 }
 
@@ -35,7 +38,7 @@ impl TelemetrySpec {
         TelemetrySpec { every_acts, ring_capacity: telemetry::DEFAULT_RING_CAPACITY, noop: false }
     }
 
-    /// Instrumentation wired but discarding everything (overhead probes).
+    /// Instrumentation wired but discarding everything.
     pub fn noop() -> Self {
         TelemetrySpec { noop: true, ..TelemetrySpec::every_acts(1_000) }
     }
@@ -123,6 +126,24 @@ impl SimConfig {
     }
 }
 
+/// The controller of one arena or generation-matrix group: one bank of
+/// `generation` with the fault oracle armed at `t_rh`, widened to
+/// `system_banks` banks for system-scale workloads.
+pub(crate) fn matrix_mc_config(
+    generation: Generation,
+    t_rh: u64,
+    rows_per_bank: u32,
+    system_banks: u8,
+    workload: &WorkloadSpec,
+) -> McConfig {
+    let model = DisturbanceModel { t_rh, ..DisturbanceModel::ddr4_50k() };
+    let mut cfg = McConfig::single_bank_for_generation(generation, rows_per_bank, Some(model));
+    if workload.is_system_scale() {
+        cfg.geometry.banks_per_rank = system_banks;
+    }
+    cfg
+}
+
 /// Result of one (defense, workload) pair, relative to the defense-free
 /// baseline of the same trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -160,83 +181,94 @@ impl SimReport {
     }
 }
 
-fn execute(
-    cfg: &McConfig,
-    defense: &DefenseSpec,
-    workload: &WorkloadSpec,
-    accesses: u64,
-    seed: u64,
-    audit: bool,
-) -> RunStats {
-    let rows = cfg.geometry.rows_per_bank;
-    let mut mc = McBuilder::new(cfg.clone()).defenses(defense).audit(audit).build();
-    let mut w = workload.build(cfg.geometry.total_banks() as u16, rows, seed);
-    let stats = mc.run(w.as_mut(), accesses);
-    if audit {
-        audit_run(&mc, &stats, defense, workload);
-    }
-    stats
+/// One finished run: its counters plus the hottest victim's ACT-equivalent
+/// disturbance across banks, ceiled (0 when no fault oracle is armed).
+pub(crate) struct Run {
+    pub(crate) stats: RunStats,
+    pub(crate) max_disturbance: u64,
 }
 
-/// [`execute`] with the telemetry wiring of `spec`: every defense goes
-/// through [`mitigations::instrumented`] and the controller gets a
-/// [`TelemetryTap`], all feeding one shared recorder per cell. With
-/// `spec.noop` (or `spec == None`, which skips the wiring entirely) no
-/// snapshot is produced.
-fn execute_cell(
+/// The recording sink for a telemetry wiring, or `None` when nothing is
+/// recorded (no wiring, or a noop spec).
+pub(crate) fn recording_sink(spec: Option<&TelemetrySpec>) -> Option<SharedSink> {
+    spec.filter(|s| !s.noop)
+        .map(|s| SharedSink::with_recorder(Recorder::with_ring_capacity(s.ring_capacity)))
+}
+
+/// A clone of the recording sink, or a [`NoopSink`] when nothing records.
+pub(crate) fn sink_for(shared: &Option<SharedSink>) -> Box<dyn MetricsSink + Send> {
+    match shared {
+        Some(s) => Box::new(s.clone()),
+        None => Box::new(NoopSink),
+    }
+}
+
+/// The one place a sweep cell runs: builds the controller for `defense`,
+/// runs `workload`, applies the end-of-run [`audit_run`] when `audit` is
+/// on, and reads the oracles' worst disturbance before the controller
+/// drops.
+///
+/// With a `telemetry` spec every defense goes through
+/// [`mitigations::instrumented`] and the controller gets a
+/// [`TelemetryTap`], all feeding one shared recorder; a recording spec also
+/// yields the cell's snapshot. `None` skips the wiring entirely.
+pub(crate) fn execute(
     cfg: &McConfig,
-    spec: Option<&TelemetrySpec>,
-    defense: &DefenseSpec,
+    defense: &GenSpec,
     workload: &WorkloadSpec,
     accesses: u64,
     seed: u64,
     audit: bool,
-) -> (RunStats, Option<Snapshot>) {
-    let Some(spec) = spec else {
-        return (execute(cfg, defense, workload, accesses, seed, audit), None);
-    };
+    telemetry: Option<&TelemetrySpec>,
+) -> (Run, Option<Snapshot>) {
     let rows = cfg.geometry.rows_per_bank;
-    let shared = (!spec.noop)
-        .then(|| SharedSink::with_recorder(Recorder::with_ring_capacity(spec.ring_capacity)));
-    let cadence = Cadence::EveryActs(spec.every_acts);
-    let sink_for = |shared: &Option<SharedSink>| -> Box<dyn MetricsSink + Send> {
-        match shared {
-            Some(s) => Box::new(s.clone()),
-            None => Box::new(NoopSink),
+    let banks = cfg.geometry.total_banks();
+    let shared = recording_sink(telemetry);
+    let builder = McBuilder::new(cfg.clone());
+    let mut mc = match telemetry {
+        None => builder.defenses(defense).audit(audit).build(),
+        Some(spec) => {
+            let cadence = Cadence::EveryActs(spec.every_acts);
+            // Honor the all-bank factory path under instrumentation too:
+            // pre-build the shared pool (ABACuS) and drain it in bank order,
+            // falling back to the per-bank factory for everything else. Each
+            // facade still gets its own instrumentation wrapper, so per-bank
+            // series stay per-bank.
+            let mut all_bank_pool =
+                defense.build_all_bank(0, banks, rows, audit).map(Vec::into_iter);
+            builder
+                .defenses_with(|bank| {
+                    let inner = match all_bank_pool.as_mut() {
+                        Some(pool) => pool.next().expect("all-bank defense pool exhausted"),
+                        None => defense.build_defense(bank, rows, audit),
+                    };
+                    mitigations::instrumented(inner, sink_for(&shared), bank as u16, rows, cadence)
+                })
+                .telemetry(TelemetryTap::new(sink_for(&shared), cadence))
+                .build()
         }
     };
-    // Honor the all-bank factory path under instrumentation too: pre-build
-    // the shared pool (ABACuS) and drain it in bank order, falling back to
-    // the per-bank factory for everything else. Each facade still gets its
-    // own instrumentation wrapper, so per-bank series stay per-bank.
-    let mut all_bank_pool =
-        defense.build_all_bank(0, cfg.geometry.total_banks(), rows, audit).map(Vec::into_iter);
-    let mut mc = McBuilder::new(cfg.clone())
-        .defenses_with(|bank| {
-            let inner = match all_bank_pool.as_mut() {
-                Some(pool) => pool.next().expect("all-bank defense pool exhausted"),
-                None => defense.build_defense(bank, rows, audit),
-            };
-            mitigations::instrumented(inner, sink_for(&shared), bank as u16, rows, cadence)
-        })
-        .telemetry(TelemetryTap::new(sink_for(&shared), cadence))
-        .build();
-    let mut w = workload.build(cfg.geometry.total_banks() as u16, rows, seed);
+    let mut w = workload.build(banks as u16, rows, seed);
     let stats = mc.run(w.as_mut(), accesses);
     if audit {
-        audit_run(&mc, &stats, defense, workload);
+        audit_run(&mc, &stats, &defense.defense, workload);
     }
+    let max_disturbance = (0..banks as usize)
+        .filter_map(|bank| mc.oracle(bank))
+        .map(|oracle| oracle.max_disturbance())
+        .fold(0.0_f64, f64::max)
+        .ceil() as u64;
     let snapshot = shared.map(|s| {
         // One final scheme-state sample at completion time — the trajectory
         // would otherwise stop at the last cadence boundary.
         s.with(|rec| {
-            for bank in 0..cfg.geometry.total_banks() as usize {
+            for bank in 0..banks as usize {
                 mc.defense(bank).emit_telemetry(bank as u16, stats.completion, rec);
             }
         });
-        s.snapshot(&format!("{}/{}", workload.name(), defense.name()))
+        s.snapshot(&format!("{}/{}", workload.name(), defense.defense.name()))
     });
-    (stats, snapshot)
+    (Run { stats, max_disturbance }, snapshot)
 }
 
 /// End-of-run invariant audit: the cross-counter checks of [`StatsAudit`]
@@ -305,18 +337,20 @@ fn audit_cross(stats: &RunStats, baseline: &RunStats, defense: &DefenseSpec, w: 
     }
 }
 
-/// Builds the baseline-relative report for one finished run — the single
-/// place the report recipe lives, shared by [`run_pair`] and [`run_matrix`].
+/// Scores one raw cell into its baseline-relative report.
 fn report_for(
     defense: &DefenseSpec,
     workload: &WorkloadSpec,
-    stats: RunStats,
-    baseline: &RunStats,
-    energy: EnergyModel,
-    banks: u32,
+    cell: RawCell,
+    mc_cfg: &McConfig,
 ) -> SimReport {
-    let energy_overhead =
-        energy.refresh_energy_overhead(stats.victim_rows_refreshed, stats.completion, banks);
+    let stats = cell.run.stats;
+    let baseline = &cell.baseline.stats;
+    let energy_overhead = EnergyModel::micro2020().refresh_energy_overhead(
+        stats.victim_rows_refreshed,
+        stats.completion,
+        mc_cfg.geometry.total_banks(),
+    );
     let slowdown = stats.slowdown_vs(baseline);
     let latency_increase = latency_increase(&stats, baseline);
     let weighted_speedup_loss = stats.weighted_speedup_loss_vs(baseline);
@@ -333,22 +367,12 @@ fn report_for(
 
 /// Runs one (defense, workload) pair plus its defense-free baseline and
 /// returns the relative report.
+///
+/// # Panics
+///
+/// Panics with the [`MatrixError`] rendering when either run panics.
 pub fn run_pair(cfg: &SimConfig, defense: &DefenseSpec, workload: &WorkloadSpec) -> SimReport {
-    let audit = cfg.audit_enabled();
-    let mc_cfg = cfg.mc_config_for(workload);
-    let baseline = execute(mc_cfg, &DefenseSpec::None, workload, cfg.accesses, cfg.seed, audit);
-    let stats = execute(mc_cfg, defense, workload, cfg.accesses, cfg.seed, audit);
-    if audit {
-        audit_cross(&stats, &baseline, defense, workload);
-    }
-    report_for(
-        defense,
-        workload,
-        stats,
-        &baseline,
-        EnergyModel::micro2020(),
-        mc_cfg.geometry.total_banks(),
-    )
+    run_matrix(cfg, std::slice::from_ref(defense), std::slice::from_ref(workload)).remove(0)
 }
 
 fn latency_increase(stats: &memctrl::RunStats, baseline: &memctrl::RunStats) -> f64 {
@@ -443,20 +467,12 @@ impl MatrixTelemetry {
 /// Runs the full (defenses × workloads) matrix in parallel and returns the
 /// reports in (workload-major, defense-minor) order.
 ///
-/// Every cell of the grid is an independent job on a work-stealing pool
-/// ([`crate::pool`]): one baseline job per workload, which on completion
-/// fans out one job per defense sharing that baseline. Compared to the old
-/// one-thread-per-workload scheme (defenses serial within each thread), a
-/// slow workload no longer serializes its D defense runs on a single core,
-/// and the thread count is bounded by the host's parallelism rather than
-/// the number of workloads.
+/// Each workload is one group of the crate's one sweep engine: its
+/// defense-free baseline runs once and is shared by every defense of that
+/// workload (unlike repeated [`run_pair`] calls, which would re-run it per
+/// pair), and every cell is an independent job on the work-stealing pool.
 ///
-/// The defense-free baseline of each workload is executed once and shared by
-/// every defense of that workload (unlike repeated [`run_pair`] calls, which
-/// would re-run it per pair).
-///
-/// A panicking cell no longer aborts the whole sweep with a poisoned-slot
-/// panic: each cell runs under `catch_unwind`, the rest of the grid
+/// A panicking cell does not abort the sweep: the rest of the grid
 /// completes, and the error names every failing (workload, defense) pair.
 /// A panicking *baseline* fails all of that workload's cells, since they
 /// have nothing to compare against.
@@ -488,25 +504,80 @@ pub fn try_run_matrix_telemetry(
     defenses: &[DefenseSpec],
     workloads: &[WorkloadSpec],
 ) -> Result<MatrixTelemetry, MatrixError> {
-    use std::sync::{Arc, Mutex};
+    let groups: Vec<Group<'_>> = workloads
+        .iter()
+        .map(|workload| Group {
+            mc: cfg.mc_config_for(workload).clone(),
+            workload,
+            defenses: defenses.iter().map(|&d| GenSpec::ddr4(d)).collect(),
+        })
+        .collect();
+    let (raw, sweep) =
+        sweep(&groups, cfg.accesses, cfg.seed, cfg.audit_enabled(), cfg.telemetry.as_ref())?;
+    let mut raw = raw.into_iter();
+    let mut reports = Vec::with_capacity(raw.len());
+    let mut cells = Vec::new();
+    for group in &groups {
+        for (defense, mut cell) in defenses.iter().zip(raw.by_ref()) {
+            if let Some(snapshot) = cell.snapshot.take() {
+                cells.push(CellTelemetry {
+                    workload: group.workload.name(),
+                    defense: defense.name(),
+                    snapshot,
+                });
+            }
+            reports.push(report_for(defense, group.workload, cell, &group.mc));
+        }
+    }
+    Ok(MatrixTelemetry { reports, cells, sweep })
+}
 
-    let audit = cfg.audit_enabled();
-    let energy = EnergyModel::micro2020();
-    let spec = cfg.telemetry.as_ref();
-    let n_def = defenses.len();
-    type CellResult = Result<(SimReport, Option<Snapshot>), String>;
-    let slots: Vec<Mutex<Option<CellResult>>> =
-        (0..workloads.len() * n_def).map(|_| Mutex::new(None)).collect();
+/// One baseline-relative group of a sweep: a workload on one controller
+/// configuration, and the defenses scored against its defense-free
+/// baseline on the identical trace.
+pub(crate) struct Group<'a> {
+    pub(crate) mc: McConfig,
+    pub(crate) workload: &'a WorkloadSpec,
+    pub(crate) defenses: Vec<GenSpec>,
+}
 
-    // One job per grid cell plus one baseline per workload can be in flight;
-    // more threads than that (or than the host has cores) would only idle.
-    let jobs_upper_bound = workloads.len() * (n_def + 1);
-    let threads =
-        std::thread::available_parallelism().map_or(4, usize::from).min(jobs_upper_bound).max(1);
+/// One defense's unscored sweep cell: its run, the group's shared
+/// baseline, and its telemetry snapshot (when the sweep records).
+pub(crate) struct RawCell {
+    pub(crate) run: Run,
+    pub(crate) baseline: Arc<Run>,
+    pub(crate) snapshot: Option<Snapshot>,
+}
 
-    // Live sweep progress: one sample per finished pool job, timestamped in
-    // wall-clock picoseconds since sweep start.
-    let sweep_sink = spec.filter(|s| !s.noop).map(|_| SharedSink::new());
+/// The sweep engine behind every baseline-relative report — the Figure 8/9
+/// matrices, the tracker arena, and the generation matrix.
+///
+/// Every group is one pool job that runs the group's defense-free baseline
+/// and, on completion, fans out one job per defense sharing that baseline.
+/// Each run goes through [`execute`] under `catch_unwind`, and with `audit`
+/// on each defended run is also cross-checked against its baseline. Cells
+/// land in index-ordered slots, so the result is (group-major,
+/// defense-minor) at any thread count. Alongside the cells comes the live
+/// sweep-progress series `sweep.jobs_done` (empty unless `telemetry`
+/// records): one sample per finished pool job, timestamped in wall-clock
+/// picoseconds since sweep start.
+///
+/// # Errors
+///
+/// Returns [`MatrixError`] naming every failed (workload, defense) cell; a
+/// panicking baseline fails every cell of its group.
+pub(crate) fn sweep(
+    groups: &[Group<'_>],
+    accesses: u64,
+    seed: u64,
+    audit: bool,
+    telemetry: Option<&TelemetrySpec>,
+) -> Result<(Vec<RawCell>, Snapshot), MatrixError> {
+    let cell_count: usize = groups.iter().map(|g| g.defenses.len()).sum();
+    let slots: Vec<Mutex<Option<Result<RawCell, String>>>> =
+        (0..cell_count).map(|_| Mutex::new(None)).collect();
+
+    let sweep_sink = telemetry.filter(|s| !s.noop).map(|_| SharedSink::new());
     let sweep_start = std::time::Instant::now();
     let observe = sweep_sink.clone().map(|sink| {
         move |done: usize| {
@@ -515,82 +586,72 @@ pub fn try_run_matrix_telemetry(
         }
     });
 
-    let slots_ref = &slots;
-    let initial: Vec<crate::pool::Job<'_>> = workloads
-        .iter()
-        .enumerate()
-        .map(|(wi, workload)| {
-            crate::pool::job(move |spawner| {
-                let mc_cfg = cfg.mc_config_for(workload);
-                let banks = mc_cfg.geometry.total_banks();
-                let baseline = match catch_unwind(AssertUnwindSafe(|| {
-                    execute(mc_cfg, &DefenseSpec::None, workload, cfg.accesses, cfg.seed, audit)
-                })) {
-                    Ok(b) => Arc::new(b),
-                    Err(payload) => {
-                        let msg = format!("baseline panicked: {}", payload_message(&*payload));
-                        for di in 0..n_def {
-                            *slots_ref[wi * n_def + di].lock().expect("result slot poisoned") =
-                                Some(Err(msg.clone()));
-                        }
-                        return;
+    let mut group_slots = slots.as_slice();
+    let mut jobs: Vec<pool::Job<'_>> = Vec::with_capacity(groups.len());
+    for group in groups {
+        let (cell_slots, rest) = group_slots.split_at(group.defenses.len());
+        group_slots = rest;
+        jobs.push(pool::job(move |spawner| {
+            let baseline = catch_unwind(AssertUnwindSafe(|| {
+                let none = GenSpec::ddr4(DefenseSpec::None);
+                execute(&group.mc, &none, group.workload, accesses, seed, audit, None).0
+            }));
+            let baseline = match baseline {
+                Ok(b) => Arc::new(b),
+                Err(payload) => {
+                    let msg = format!("baseline panicked: {}", payload_message(&*payload));
+                    for slot in cell_slots {
+                        *slot.lock().expect("result slot poisoned") = Some(Err(msg.clone()));
                     }
-                };
-                for (di, defense) in defenses.iter().enumerate() {
-                    let baseline = Arc::clone(&baseline);
-                    spawner.spawn(move |_| {
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            let (stats, snapshot) = execute_cell(
-                                mc_cfg,
-                                spec,
-                                defense,
-                                workload,
-                                cfg.accesses,
-                                cfg.seed,
-                                audit,
-                            );
-                            if audit {
-                                audit_cross(&stats, &baseline, defense, workload);
-                            }
-                            (
-                                report_for(defense, workload, stats, &baseline, energy, banks),
-                                snapshot,
-                            )
-                        }))
-                        .map_err(|payload| payload_message(&*payload));
-                        *slots_ref[wi * n_def + di].lock().expect("result slot poisoned") =
-                            Some(result);
-                    });
+                    return;
                 }
-            })
-        })
-        .collect();
+            };
+            for (slot, defense) in cell_slots.iter().zip(&group.defenses) {
+                let baseline = Arc::clone(&baseline);
+                spawner.spawn(move |_| {
+                    let cell = catch_unwind(AssertUnwindSafe(|| {
+                        let (run, snapshot) = execute(
+                            &group.mc,
+                            defense,
+                            group.workload,
+                            accesses,
+                            seed,
+                            audit,
+                            telemetry,
+                        );
+                        if audit {
+                            audit_cross(
+                                &run.stats,
+                                &baseline.stats,
+                                &defense.defense,
+                                group.workload,
+                            );
+                        }
+                        RawCell { run, baseline, snapshot }
+                    }))
+                    .map_err(|payload| payload_message(&*payload));
+                    *slot.lock().expect("result slot poisoned") = Some(cell);
+                });
+            }
+        }));
+    }
     let observer: Option<&(dyn Fn(usize) + Sync)> =
         observe.as_ref().map(|f| f as &(dyn Fn(usize) + Sync));
-    crate::pool::run_scoped_observed(threads, initial, observer);
+    pool::run_scoped(pool::threads_for(groups.len() + cell_count), jobs, observer, None, || ());
 
-    let mut reports = Vec::with_capacity(slots.len());
-    let mut cells = Vec::new();
+    let mut cells = Vec::with_capacity(cell_count);
     let mut failures = Vec::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        let cell = slot
+    let names = groups.iter().flat_map(|g| g.defenses.iter().map(move |d| (g.workload, d)));
+    for (slot, (workload, defense)) in slots.into_iter().zip(names) {
+        match slot
             .into_inner()
             .expect("result slot poisoned")
-            .expect("every grid cell filled by the pool");
-        match cell {
-            Ok((report, snapshot)) => {
-                if let Some(snapshot) = snapshot {
-                    cells.push(CellTelemetry {
-                        workload: report.workload.clone(),
-                        defense: report.defense.clone(),
-                        snapshot,
-                    });
-                }
-                reports.push(report);
-            }
+            .expect("every cell filled by the pool")
+        {
+            Ok(cell) => cells.push(cell),
             Err(message) => failures.push(CellFailure {
-                workload: workloads[i / n_def].name(),
-                defense: defenses[i % n_def].name(),
+                workload: workload.name(),
+                defense: defense.defense.name(),
                 message,
             }),
         }
@@ -599,7 +660,7 @@ pub fn try_run_matrix_telemetry(
         return Err(MatrixError { failures });
     }
     let sweep = sweep_sink.map(|s| s.snapshot("sweep")).unwrap_or_else(|| Snapshot::empty("sweep"));
-    Ok(MatrixTelemetry { reports, cells, sweep })
+    Ok((cells, sweep))
 }
 
 /// [`try_run_matrix`], panicking with the full failure list if any cell

@@ -26,11 +26,11 @@ use memctrl::{
     DefenseFactory, MappingPolicy, McBuilder, MemoryController, StampedAccess, SystemController,
     SystemStats, TelemetryTap,
 };
-use telemetry::{Cadence, MetricsSink, NoopSink, Recorder, SharedSink, Snapshot};
+use telemetry::{Cadence, SharedSink, Snapshot};
 use workloads::Workload;
 
 use crate::pool;
-use crate::runner::{audit_run, SimConfig};
+use crate::runner::{audit_run, recording_sink, sink_for, SimConfig};
 use crate::scenarios::{DefenseSpec, WorkloadSpec};
 use crate::spsc;
 
@@ -96,13 +96,6 @@ pub struct SystemReport {
     pub snapshot: Option<Snapshot>,
 }
 
-fn sink_for(shared: &Option<SharedSink>) -> Box<dyn MetricsSink + Send> {
-    match shared {
-        Some(s) => Box::new(s.clone()),
-        None => Box::new(NoopSink),
-    }
-}
-
 /// Builds the sharded system for a campaign: defenses come from the one
 /// [`DefenseSpec`] factory (seeded by **global** bank index, so the system
 /// is bit-comparable to a whole-geometry controller), and telemetry — when
@@ -132,13 +125,6 @@ fn build_system<'a>(
                 .build_system()
         }
     }
-}
-
-fn recording_sink(sim: &SimConfig) -> Option<SharedSink> {
-    sim.telemetry.as_ref().and_then(|spec| {
-        (!spec.noop)
-            .then(|| SharedSink::with_recorder(Recorder::with_ring_capacity(spec.ring_capacity)))
-    })
 }
 
 /// Finishes a run: per-shard flush + merge, the invariant audit on every
@@ -183,7 +169,7 @@ pub fn run_system(
     workload: &WorkloadSpec,
 ) -> SystemReport {
     let audit = sim.audit_enabled();
-    let shared = recording_sink(sim);
+    let shared = recording_sink(sim.telemetry.as_ref());
     let mut system = build_system(sim, policy, defense, audit, &shared);
     let geometry = *system.geometry();
     let mut w = workload.build(geometry.total_banks() as u16, geometry.rows_per_bank, sim.seed);
@@ -225,7 +211,7 @@ pub fn run_system_sharded(
     assert!(threads > 0, "need at least one worker thread");
     assert!(batch > 0, "batch of 0 dispatches nothing");
     let audit = sim.audit_enabled();
-    let shared = recording_sink(sim);
+    let shared = recording_sink(sim.telemetry.as_ref());
     let mut system = build_system(sim, policy, defense, audit, &shared);
     let geometry = *system.geometry();
     let mut w = workload.build(geometry.total_banks() as u16, geometry.rows_per_bank, sim.seed);
@@ -246,7 +232,7 @@ pub fn run_system_sharded(
             .zip(consumers)
             .map(|(shard, rx)| pool::job(move |sp| pump(shard, rx, sp)))
             .collect();
-        pool::run_scoped_with_driver(threads, jobs, move || {
+        pool::run_scoped(threads, jobs, None, None, move || {
             let mut pending: Vec<Vec<StampedAccess>> =
                 (0..channels).map(|_| Vec::with_capacity(batch)).collect();
             for _ in 0..sim.accesses {
@@ -279,27 +265,6 @@ pub fn run_system_sharded(
         stats,
         snapshot,
     }
-}
-
-/// The full-system matrix: every (workload, defense) pair through
-/// [`run_system_sharded`]. Pairs run back-to-back — each run already
-/// parallelizes internally across channels, so nesting another fan-out
-/// would only thrash the worker pool.
-pub fn run_system_matrix(
-    sim: &SimConfig,
-    policy: MappingPolicy,
-    defenses: &[DefenseSpec],
-    workloads: &[WorkloadSpec],
-    threads: usize,
-    batch: usize,
-) -> Vec<SystemReport> {
-    let mut reports = Vec::with_capacity(defenses.len() * workloads.len());
-    for workload in workloads {
-        for defense in defenses {
-            reports.push(run_system_sharded(sim, policy, defense, workload, threads, batch));
-        }
-    }
-    reports
 }
 
 #[cfg(test)]
@@ -384,8 +349,19 @@ mod tests {
         sim.audit = false;
         let defenses = [DefenseSpec::None, DefenseSpec::Para { p: 0.001 }];
         let workloads = WorkloadSpec::system_set(16);
-        let reports =
-            run_system_matrix(&sim, MappingPolicy::RowInterleaved, &defenses, &workloads, 2, 64);
+        let mut reports = Vec::new();
+        for workload in &workloads {
+            for defense in &defenses {
+                reports.push(run_system_sharded(
+                    &sim,
+                    MappingPolicy::RowInterleaved,
+                    defense,
+                    workload,
+                    2,
+                    64,
+                ));
+            }
+        }
         assert_eq!(reports.len(), 6);
         assert!(reports.iter().all(|r| r.stats.merged.accesses == 2_000));
     }
