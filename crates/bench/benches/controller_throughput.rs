@@ -26,7 +26,7 @@ fn bench_controller(c: &mut Criterion) {
                         McBuilder::new(McConfig::single_bank(65_536, None)).defenses(&spec).build();
                     (mc, Synthetic::s1(10, 65_536, 7))
                 },
-                |(mut mc, mut w)| mc.run(&mut w, ACCESSES),
+                |(mut mc, mut w)| mc.try_run(&mut w, ACCESSES).unwrap(),
                 BatchSize::LargeInput,
             );
         });

@@ -91,7 +91,7 @@ fn stream_row(state: &mut u64, step: u64, n_entry: usize) -> RowId {
     *state ^= *state << 25;
     *state ^= *state >> 27;
     let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    if r % 8 == 0 {
+    if r.is_multiple_of(8) {
         RowId((r >> 32) as u32 % (n_entry as u32 / 2).max(1))
     } else {
         RowId(1_000_000 + step as u32)
@@ -516,7 +516,7 @@ fn main() {
         );
     }
 
-    // Hand-rolled JSON: the workspace's serde is a no-op offline stub.
+    // Hand-rolled JSON: the workspace has no serialization dependency.
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"generated_by\": \"perf_snapshot\",");
     let _ = writeln!(json, "  \"fast\": {fast},");

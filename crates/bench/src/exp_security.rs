@@ -228,7 +228,8 @@ fn ground_truth(fast: bool) {
     };
 
     let mut table = TablePrinter::new(vec!["defense", "bit flips", "victim refreshes"]);
-    let cases: Vec<(&str, Box<dyn FnMut() -> Box<dyn RowHammerDefense>>)> = vec![
+    type DefenseFactory = Box<dyn FnMut() -> Box<dyn RowHammerDefense>>;
+    let cases: Vec<(&str, DefenseFactory)> = vec![
         (
             "PRoHIT (q=0.003)",
             Box::new(|| {

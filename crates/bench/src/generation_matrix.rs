@@ -204,7 +204,8 @@ fn legacy_run(
     let banks = mc_cfg.geometry.total_banks();
     let mut mc = McBuilder::new(mc_cfg).defenses(defense).audit(true).build();
     let mut w = workload.build(banks as u16, cfg.rows_per_bank, cfg.seed);
-    let stats = mc.run(w.as_mut(), cfg.accesses);
+    // invariant: the workload is built for the controller's own geometry.
+    let stats = mc.try_run(w.as_mut(), cfg.accesses).expect("workload fits its own geometry");
     let max_disturbance = (0..banks as usize)
         .map(|bank| mc.oracle(bank).expect("legacy diff arms the oracle").max_disturbance())
         .fold(0.0_f64, f64::max);

@@ -3,7 +3,6 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use serde::{Deserialize, Serialize};
 
 use telemetry::MetricsSink;
 
@@ -15,7 +14,7 @@ use crate::table::{CounterTable, TableSnapshot, TableUpdate};
 ///
 /// The memory controller turns this into an NRR command
 /// ([`dram_model::DramCommand::NearbyRowRefresh`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NrrRequest {
     /// The aggressor row whose estimated count reached a multiple of `T`.
     pub aggressor: RowId,
@@ -32,7 +31,7 @@ impl NrrRequest {
 }
 
 /// Operation counters of one Graphene instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GrapheneStats {
     /// Activations processed.
     pub activations: u64,
@@ -50,7 +49,7 @@ pub struct GrapheneStats {
 /// The full dynamic state of one [`Graphene`] engine, as captured by
 /// [`Graphene::snapshot`] and replayed by [`Graphene::restore`] —
 /// the unit of per-bank state in a run checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrapheneSnapshot {
     /// The counter table's architectural state.
     pub table: TableSnapshot,
@@ -373,7 +372,7 @@ mod tests {
 
     #[test]
     fn telemetry_emits_trajectory_series() {
-        use telemetry::{MetricsSink as _, Recorder};
+        use telemetry::Recorder;
         let mut g = engine();
         let t = g.params().tracking_threshold;
         for i in 0..t {
@@ -430,8 +429,9 @@ mod tests {
         // state on the same continuation.
         let mut live = engine();
         let w = live.params().reset_window;
-        let stream =
-            |i: u64| (RowId(if i % 4 == 0 { 3 } else { 100 + (i % 13) as u32 }), i * (w / 20_000));
+        let stream = |i: u64| {
+            (RowId(if i.is_multiple_of(4) { 3 } else { 100 + (i % 13) as u32 }), i * (w / 20_000))
+        };
         for i in 0..30_000u64 {
             let (row, at) = stream(i);
             live.on_activation(row, at);

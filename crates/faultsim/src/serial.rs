@@ -1,6 +1,6 @@
 //! JSONL serialization for fault plans.
 //!
-//! The workspace's `serde` is an inert offline stub, so the format is
+//! The workspace has no serialization dependency, so the format is
 //! rendered and parsed by hand on top of [`telemetry::json`]. Line 1 is a
 //! header carrying the schema tag and the full [`FaultSpec`]; each following
 //! line is one [`FaultEvent`]. Round-tripping reproduces the plan exactly:

@@ -408,7 +408,7 @@ mod tests {
     #[test]
     fn default_build_uses_no_defense() {
         let mut mc = McBuilder::new(McConfig::single_bank(65_536, None)).build();
-        let stats = mc.run(&mut Synthetic::s3(65_536, 1), 5_000);
+        let stats = mc.try_run(&mut Synthetic::s3(65_536, 1), 5_000).unwrap();
         assert_eq!(stats.defense_refresh_commands, 0);
         assert_eq!(stats.accesses, 5_000);
     }
@@ -553,7 +553,7 @@ mod tests {
         let mut system = McBuilder::new(McConfig::micro2020_no_oracle())
             .command_log(CommandLog::bounded(128))
             .build_system();
-        system.run_batched(&Synthetic::s3(65_536, 1).take_accesses(100));
+        system.try_run_batched(&Synthetic::s3(65_536, 1).take_accesses(100)).unwrap();
         let _ = system.finish();
         for shard in system.shards() {
             assert!(shard.command_log().is_some());

@@ -1,7 +1,7 @@
 //! Shared JSON plumbing and the typed error for controller checkpoint
 //! state.
 //!
-//! The workspace's `serde` is an inert offline stub, so checkpoint state is
+//! The workspace has no serialization dependency, so checkpoint state is
 //! rendered and parsed by hand on top of [`telemetry::json`] (the faultsim
 //! JSONL idiom). The parser is integer-first, so every `u64` counter
 //! round-trips exactly.

@@ -155,8 +155,9 @@ pub struct StampedAccess {
 /// let mut mc = McBuilder::new(McConfig::micro2020_no_oracle())
 ///     .defenses_with(|bank| Box::new(Para::new(0.001, bank as u64)))
 ///     .build();
-/// let stats = mc.run(&mut Synthetic::s1(10, 65_536, 3), 50_000);
+/// let stats = mc.try_run(&mut Synthetic::s1(10, 65_536, 3), 50_000)?;
 /// assert!(stats.defense_refresh_commands > 0);
+/// # Ok::<(), memctrl::McError>(())
 /// ```
 pub struct MemoryController {
     config: McConfig,
@@ -467,17 +468,6 @@ impl MemoryController {
     /// Runs `n` accesses from `workload` and returns a snapshot of the
     /// statistics. Can be called repeatedly to extend the same run.
     ///
-    /// # Panics
-    ///
-    /// Panics if the workload emits an out-of-range bank index; use
-    /// [`try_run`](Self::try_run) to handle that as an error.
-    pub fn run(&mut self, workload: &mut dyn Workload, n: u64) -> RunStats {
-        self.try_run(workload, n).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`run`](Self::run), but surfaces routing problems as [`McError`]
-    /// instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`McError::BankOutOfRange`] on the first access whose bank
@@ -538,26 +528,10 @@ impl MemoryController {
 
     /// Runs `n` accesses through per-bank request queues with batched
     /// FR-FCFS scheduling (the PAR-BS-like policy of Table III), instead of
-    /// [`run`](Self::run)'s in-order service. Row hits within a batch are
-    /// served first, so streams with row-buffer locality complete faster;
-    /// everything else (defense hook, refresh machinery, fault oracle,
-    /// statistics) behaves identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload emits an out-of-range bank index; use
-    /// [`try_run_queued`](Self::try_run_queued) to handle that as an error.
-    pub fn run_queued(
-        &mut self,
-        workload: &mut dyn Workload,
-        n: u64,
-        scheduler: SchedulerConfig,
-    ) -> RunStats {
-        self.try_run_queued(workload, n, scheduler).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`run_queued`](Self::run_queued), but surfaces routing problems
-    /// as [`McError`] instead of panicking.
+    /// [`try_run`](Self::try_run)'s in-order service. Row hits within a
+    /// batch are served first, so streams with row-buffer locality complete
+    /// faster; everything else (defense hook, refresh machinery, fault
+    /// oracle, statistics) behaves identically.
     ///
     /// # Errors
     ///
@@ -777,7 +751,7 @@ impl MemoryController {
         self.stats.bit_flips == 0
     }
 
-    /// Serializes the controller's complete dynamic state — clocks, refresh
+    /// Encodes the controller's complete dynamic state — clocks, refresh
     /// position, statistics, per-bank timing state, and every bank's defense
     /// — as a JSON value, such that [`restore`](Self::restore) on a freshly
     /// built controller of the same configuration resumes bit-identically.
@@ -940,7 +914,7 @@ mod tests {
     fn unprotected_hammer_flips_bits() {
         let model = DisturbanceModel { t_rh: 5_000, mu: MuModel::Adjacent };
         let mut mc = no_defense_mc(McConfig::single_bank(65_536, Some(model)));
-        let stats = mc.run(&mut Synthetic::s3(65_536, 1), 20_000);
+        let stats = mc.try_run(&mut Synthetic::s3(65_536, 1), 20_000).unwrap();
         assert!(stats.bit_flips > 0, "hammering without defense must flip bits");
         assert!(!mc.is_clean());
     }
@@ -958,7 +932,7 @@ mod tests {
     fn graphene_prevents_flips_on_same_attack() {
         let model = DisturbanceModel { t_rh: 5_000, mu: MuModel::Adjacent };
         let mut mc = graphene_mc(McConfig::single_bank(65_536, Some(model)));
-        let stats = mc.run(&mut Synthetic::s3(65_536, 1), 100_000);
+        let stats = mc.try_run(&mut Synthetic::s3(65_536, 1), 100_000).unwrap();
         assert_eq!(stats.bit_flips, 0);
         assert!(stats.victim_rows_refreshed > 0, "NRRs must have fired");
     }
@@ -976,14 +950,14 @@ mod tests {
                 workloads::Access { bank: 0, row: RowId(1), gap: 78_000_000, stream: 0 }
             }
         }
-        let stats = mc.run(&mut Idle, 1);
+        let stats = mc.try_run(&mut Idle, 1).unwrap();
         assert_eq!(stats.refreshes, 10);
     }
 
     #[test]
     fn saturating_attack_throughput_is_trc_bound() {
         let mut mc = no_defense_mc(McConfig::single_bank(65_536, None));
-        let stats = mc.run(&mut Synthetic::s3(65_536, 1), 50_000);
+        let stats = mc.try_run(&mut Synthetic::s3(65_536, 1), 50_000).unwrap();
         let per_access = stats.completion as f64 / stats.accesses as f64;
         // Single-row hammering with minimalist-open: every 4th access
         // re-activates; mean cost sits between tCL and tRC.
@@ -996,7 +970,7 @@ mod tests {
         let mut mc = McBuilder::new(McConfig::single_bank(65_536, None))
             .defenses_with(|b| Box::new(Para::new(0.01, b as u64)))
             .build();
-        let stats = mc.run(&mut Synthetic::s1(10, 65_536, 1), 100_000);
+        let stats = mc.try_run(&mut Synthetic::s1(10, 65_536, 1), 100_000).unwrap();
         assert!(stats.defense_refresh_commands > 0);
         assert!(stats.defense_busy > 0);
         // Roughly p × activations refreshes.
@@ -1016,7 +990,7 @@ mod tests {
                     }
                 })
                 .build();
-            mc.run(&mut Synthetic::s3(65_536, 9), 50_000)
+            mc.try_run(&mut Synthetic::s3(65_536, 9), 50_000).unwrap()
         };
         let base = run(false);
         let para = run(true);
@@ -1029,7 +1003,7 @@ mod tests {
         let mut mc = no_defense_mc(McConfig::micro2020_no_oracle());
         let mut w =
             workloads::ProxyWorkload::from_preset(workloads::SpecPreset::Libquantum, 64, 65_536, 5);
-        let stats = mc.run(&mut w, 20_000);
+        let stats = mc.try_run(&mut w, 20_000).unwrap();
         assert_eq!(stats.accesses, 20_000);
         assert!(stats.row_hit_rate() < 1.0);
         assert!(mc.is_clean());
@@ -1038,11 +1012,13 @@ mod tests {
     #[test]
     fn queued_mode_serves_everything() {
         let mut mc = no_defense_mc(McConfig::single_bank(65_536, None));
-        let stats = mc.run_queued(
-            &mut Synthetic::s1(10, 65_536, 1),
-            20_000,
-            crate::scheduler::SchedulerConfig::par_bs_like(),
-        );
+        let stats = mc
+            .try_run_queued(
+                &mut Synthetic::s1(10, 65_536, 1),
+                20_000,
+                crate::scheduler::SchedulerConfig::par_bs_like(),
+            )
+            .unwrap();
         assert_eq!(stats.accesses, 20_000);
         assert_eq!(stats.activations + stats.row_hits, 20_000);
     }
@@ -1071,7 +1047,7 @@ mod tests {
                 page_policy: crate::PagePolicy::Open,
                 ..McConfig::single_bank(65_536, None)
             });
-            mc.run_queued(&mut PingPong(0), 20_000, cfg)
+            mc.try_run_queued(&mut PingPong(0), 20_000, cfg).unwrap()
         };
         let fcfs = run(crate::scheduler::SchedulerConfig::fcfs());
         let batched = run(crate::scheduler::SchedulerConfig::par_bs_like());
@@ -1088,11 +1064,13 @@ mod tests {
     fn queued_mode_graphene_still_protects() {
         let model = DisturbanceModel { t_rh: 5_000, mu: MuModel::Adjacent };
         let mut mc = graphene_mc(McConfig::single_bank(65_536, Some(model)));
-        let stats = mc.run_queued(
-            &mut Synthetic::s3(65_536, 1),
-            80_000,
-            crate::scheduler::SchedulerConfig::par_bs_like(),
-        );
+        let stats = mc
+            .try_run_queued(
+                &mut Synthetic::s3(65_536, 1),
+                80_000,
+                crate::scheduler::SchedulerConfig::par_bs_like(),
+            )
+            .unwrap();
         assert_eq!(stats.bit_flips, 0);
         assert!(stats.victim_rows_refreshed > 0);
     }
@@ -1100,8 +1078,8 @@ mod tests {
     #[test]
     fn stats_snapshot_accumulates_across_runs() {
         let mut mc = no_defense_mc(McConfig::single_bank(65_536, None));
-        mc.run(&mut Synthetic::s3(65_536, 1), 100);
-        let s = mc.run(&mut Synthetic::s3(65_536, 1), 100);
+        mc.try_run(&mut Synthetic::s3(65_536, 1), 100).unwrap();
+        let s = mc.try_run(&mut Synthetic::s3(65_536, 1), 100).unwrap();
         assert_eq!(s.accesses, 200);
     }
 
@@ -1185,13 +1163,6 @@ mod tests {
         assert_eq!(batched.finish_run(), legacy_stats);
     }
 
-    #[test]
-    #[should_panic(expected = "targets bank 999")]
-    fn run_panics_on_bad_bank_mapping() {
-        let mut mc = no_defense_mc(McConfig::single_bank(65_536, None));
-        let _ = mc.run(&mut WrongBank, 1);
-    }
-
     /// A workload whose stream id lies outside the configured stream set.
     struct StrayStream;
     impl Workload for StrayStream {
@@ -1209,7 +1180,7 @@ mod tests {
         // 64K-entry vec; now it lands in the stray counters, which the
         // audit flags while the exact latency invariant still holds.
         let mut mc = no_defense_mc(McConfig::single_bank(65_536, None));
-        let stats = mc.run(&mut StrayStream, 10);
+        let stats = mc.try_run(&mut StrayStream, 10).unwrap();
         assert!(stats.per_stream.is_empty());
         assert_eq!(stats.stray_stream_accesses, 10);
         assert_eq!(stats.stray_stream_latency, stats.total_latency);
@@ -1222,7 +1193,7 @@ mod tests {
         let mut mc = no_defense_mc(McConfig::micro2020_no_oracle());
         let mut w =
             workloads::ProxyWorkload::from_preset(workloads::SpecPreset::Libquantum, 64, 65_536, 5);
-        let stats = mc.run(&mut w, 20_000);
+        let stats = mc.try_run(&mut w, 20_000).unwrap();
         crate::StatsAudit::check_at(&stats, mc.clock()).unwrap();
     }
 
@@ -1230,7 +1201,7 @@ mod tests {
     fn oracle_accessor_exposes_per_bank_state() {
         let model = DisturbanceModel { t_rh: 5_000, mu: MuModel::Adjacent };
         let mut mc = no_defense_mc(McConfig::single_bank(65_536, Some(model)));
-        mc.run(&mut Synthetic::s3(65_536, 1), 1_000);
+        mc.try_run(&mut Synthetic::s3(65_536, 1), 1_000).unwrap();
         let oracle = mc.oracle(0).expect("oracle armed");
         assert!(oracle.max_disturbance() > 0.0);
         assert!(mc.oracle(1).is_none());
@@ -1284,7 +1255,7 @@ mod tests {
         let spec = FaultSpec { nrr_drops: 400, accesses: 100_000, banks: 1, ..FaultSpec::new(42) };
         let mut mc =
             graphene_mc_with_faults(McConfig::single_bank(65_536, Some(model)), fault_plan(spec));
-        let stats = mc.run(&mut Synthetic::s3(65_536, 1), 100_000);
+        let stats = mc.try_run(&mut Synthetic::s3(65_536, 1), 100_000).unwrap();
         let fstats = mc.fault_stats().unwrap();
         assert!(fstats.nrrs_dropped > 0, "drops must have fired");
         assert!(stats.bit_flips > 0, "undefended victims must flip");
@@ -1295,7 +1266,7 @@ mod tests {
     fn tracker_faults_reach_the_defense() {
         let spec = FaultSpec { accesses: 20_000, banks: 1, ..FaultSpec::single_bit_flips(7, 16) };
         let mut mc = graphene_mc_with_faults(McConfig::single_bank(65_536, None), fault_plan(spec));
-        mc.run(&mut Synthetic::s3(65_536, 1), 20_000);
+        mc.try_run(&mut Synthetic::s3(65_536, 1), 20_000).unwrap();
         let fstats = mc.fault_stats().unwrap();
         assert_eq!(fstats.tracker_faults_applied + fstats.tracker_faults_vacuous, 16);
         assert!(fstats.tracker_faults_applied > 0, "Graphene's table must absorb some flips");
@@ -1305,7 +1276,7 @@ mod tests {
     fn duplicated_commands_replay_accesses() {
         let spec = FaultSpec { duplicates: 3, accesses: 10_000, banks: 1, ..FaultSpec::new(5) };
         let mut mc = graphene_mc_with_faults(McConfig::single_bank(65_536, None), fault_plan(spec));
-        let stats = mc.run(&mut Synthetic::s3(65_536, 1), 10_000);
+        let stats = mc.try_run(&mut Synthetic::s3(65_536, 1), 10_000).unwrap();
         assert_eq!(mc.fault_stats().unwrap().commands_duplicated, 3);
         assert_eq!(stats.accesses, 10_003, "each duplication serves one extra access");
     }
@@ -1331,7 +1302,7 @@ mod tests {
                     .collect(),
             )
             .replay();
-            (mc.run(&mut w, 40_000), mc.fault_stats().map(|f| f.refreshes_postponed))
+            (mc.try_run(&mut w, 40_000).unwrap(), mc.fault_stats().map(|f| f.refreshes_postponed))
         };
         let (nominal, _) = run(None);
         let spec =
@@ -1352,7 +1323,7 @@ mod tests {
     fn deferred_nrrs_are_flushed_not_lost() {
         let spec = FaultSpec { nrr_defers: 6, accesses: 50_000, banks: 1, ..FaultSpec::new(13) };
         let mut mc = graphene_mc_with_faults(McConfig::single_bank(65_536, None), fault_plan(spec));
-        mc.run(&mut Synthetic::s3(65_536, 1), 50_000);
+        mc.try_run(&mut Synthetic::s3(65_536, 1), 50_000).unwrap();
         let fstats = mc.fault_stats().unwrap();
         assert!(fstats.nrrs_deferred > 0, "defers must have caught an NRR");
         assert_eq!(
@@ -1369,15 +1340,15 @@ mod tests {
         };
         // Uninterrupted reference run of the first half.
         let mut full = graphene_mc(McConfig::single_bank(65_536, None));
-        full.run(&mut halves(0..30_000), 30_000);
+        full.try_run(&mut halves(0..30_000), 30_000).unwrap();
         // Checkpoint it through rendered text and restore into a fresh
         // controller of the same configuration.
         let text = full.snapshot().unwrap().to_string();
         let mut resumed = graphene_mc(McConfig::single_bank(65_536, None));
         resumed.restore(&telemetry::json::parse(&text).unwrap()).unwrap();
         // The second half must play out identically on both.
-        let a = full.run(&mut halves(30_000..60_000), 30_000);
-        let b = resumed.run(&mut halves(30_000..60_000), 30_000);
+        let a = full.try_run(&mut halves(30_000..60_000), 30_000).unwrap();
+        let b = resumed.try_run(&mut halves(30_000..60_000), 30_000).unwrap();
         assert_eq!(a, b);
         assert_eq!(full.snapshot().unwrap().to_string(), resumed.snapshot().unwrap().to_string());
     }
@@ -1386,7 +1357,7 @@ mod tests {
     fn checkpoint_refuses_a_run_with_a_fault_oracle() {
         let model = DisturbanceModel { t_rh: 5_000, mu: MuModel::Adjacent };
         let mc = no_defense_mc(McConfig::single_bank(65_536, Some(model)));
-        let err = mc.snapshot().err().expect("oracle runs must refuse checkpointing");
+        let err = mc.snapshot().expect_err("oracle runs must refuse checkpointing");
         assert!(matches!(err, crate::ckpt::CkptError::Unsupported { .. }), "{err:?}");
         assert!(err.to_string().contains("fault oracle"), "{err}");
     }
@@ -1394,7 +1365,7 @@ mod tests {
     #[test]
     fn restore_rejects_a_checkpoint_with_the_wrong_shape() {
         let mut mc = graphene_mc(McConfig::single_bank(65_536, None));
-        mc.run(&mut Synthetic::s3(65_536, 1), 1_000);
+        mc.try_run(&mut Synthetic::s3(65_536, 1), 1_000).unwrap();
         let snap = mc.snapshot().unwrap();
         // micro2020_no_oracle has 16 banks per channel shard; the snapshot
         // came from a single-bank controller.
@@ -1423,7 +1394,7 @@ mod tests {
             Box::new(RfmIssuer::new(Box::new(GrapheneDefense::from_config(&cfg).unwrap())))
         })
         .build();
-        let stats = mc.run(&mut Synthetic::s3(65_536, 1), 100_000);
+        let stats = mc.try_run(&mut Synthetic::s3(65_536, 1), 100_000).unwrap();
         assert_eq!(stats.bit_flips, 0, "RFM-mode Graphene must still protect");
         assert!(stats.rfm_commands > 0, "DDR5 defense must issue RFMs, not NRRs");
         assert_eq!(
@@ -1442,7 +1413,7 @@ mod tests {
         let gen = Generation::Ddr5_4800;
         let mut mc =
             McBuilder::new(McConfig::single_bank_for_generation(gen, 65_536, None)).build();
-        let stats = mc.run(&mut Synthetic::s3(65_536, 1), 50_000);
+        let stats = mc.try_run(&mut Synthetic::s3(65_536, 1), 50_000).unwrap();
         let rfm = gen.rfm().unwrap();
         assert!(stats.forced_rfms > 0, "saturating ACTs must trip the RAAMMT backstop");
         assert!(
@@ -1456,7 +1427,7 @@ mod tests {
     #[test]
     fn ddr4_runs_never_touch_rfm_accounting() {
         let mut mc = graphene_mc(McConfig::single_bank(65_536, None));
-        let stats = mc.run(&mut Synthetic::s3(65_536, 1), 50_000);
+        let stats = mc.try_run(&mut Synthetic::s3(65_536, 1), 50_000).unwrap();
         assert_eq!(stats.rfm_commands, 0);
         assert_eq!(stats.forced_rfms, 0);
         assert_eq!(mc.raa_count(0), 0);
@@ -1488,14 +1459,14 @@ mod tests {
             workloads::Trace::from_accesses("half", accesses[range].to_vec()).replay()
         };
         let mut full = build();
-        full.run(&mut halves(0..30_000), 30_000);
+        full.try_run(&mut halves(0..30_000), 30_000).unwrap();
         assert!(full.raa_count(0) > 0 || full.stats().rfm_commands > 0);
         let text = full.snapshot().unwrap().to_string();
         let mut resumed = build();
         resumed.restore(&telemetry::json::parse(&text).unwrap()).unwrap();
         assert_eq!(full.raa_count(0), resumed.raa_count(0));
-        let a = full.run(&mut halves(30_000..60_000), 30_000);
-        let b = resumed.run(&mut halves(30_000..60_000), 30_000);
+        let a = full.try_run(&mut halves(30_000..60_000), 30_000).unwrap();
+        let b = resumed.try_run(&mut halves(30_000..60_000), 30_000).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1508,7 +1479,7 @@ mod tests {
                 McConfig::single_bank(65_536, Some(model.clone())),
                 fault_plan(spec),
             );
-            let stats = mc.run(&mut Synthetic::s3(65_536, 1), 30_000);
+            let stats = mc.try_run(&mut Synthetic::s3(65_536, 1), 30_000).unwrap();
             (stats, *mc.fault_stats().unwrap())
         };
         assert_eq!(run(), run());

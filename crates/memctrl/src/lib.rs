@@ -38,8 +38,9 @@
 //! use workloads::Synthetic;
 //!
 //! let mut mc = McBuilder::new(McConfig::micro2020_no_oracle()).build();
-//! let stats = mc.run(&mut Synthetic::s3(65_536, 1), 10_000);
+//! let stats = mc.try_run(&mut Synthetic::s3(65_536, 1), 10_000)?;
 //! assert_eq!(stats.accesses, 10_000);
+//! # Ok::<(), memctrl::McError>(())
 //! ```
 
 pub mod audit;

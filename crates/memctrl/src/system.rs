@@ -110,9 +110,10 @@ impl SystemRouter<'_> {
 ///
 /// let mut system = McBuilder::new(McConfig::micro2020_no_oracle()).build_system();
 /// let mut w = ProxyWorkload::from_preset(SpecPreset::Libquantum, 64, 65_536, 5);
-/// system.run_batched(&w.take_accesses(10_000));
+/// system.try_run_batched(&w.take_accesses(10_000))?;
 /// let stats = system.finish();
 /// assert_eq!(stats.merged.accesses, 10_000);
+/// # Ok::<(), memctrl::McError>(())
 /// ```
 pub struct SystemController {
     geometry: DramGeometry,
@@ -281,16 +282,6 @@ impl SystemController {
         Ok(())
     }
 
-    /// Like [`try_run_batched`](Self::try_run_batched), panicking on
-    /// routing errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an access does not decode into the geometry.
-    pub fn run_batched(&mut self, accesses: &[Access]) {
-        self.try_run_batched(accesses).unwrap_or_else(|e| panic!("{e}"));
-    }
-
     /// Routes a whole chunk without executing it, returning one stamped
     /// batch per channel — the scatter half of parallel sharded execution.
     /// Feed each batch to the matching shard's
@@ -334,7 +325,7 @@ impl SystemController {
         self.shards.iter().all(MemoryController::is_clean)
     }
 
-    /// Serializes the full system's dynamic state — the routing front end's
+    /// Encodes the full system's dynamic state — the routing front end's
     /// clock and access count plus one
     /// [`MemoryController::snapshot`] per channel shard — such that
     /// [`restore`](Self::restore) on a freshly built system of the same
@@ -414,7 +405,7 @@ mod tests {
     #[test]
     fn batched_run_serves_every_access() {
         let mut sys = system(64);
-        sys.run_batched(&trace(20_000));
+        sys.try_run_batched(&trace(20_000)).unwrap();
         let stats = sys.finish();
         assert_eq!(stats.merged.accesses, 20_000);
         assert_eq!(stats.per_channel.len(), 4);
@@ -429,7 +420,7 @@ mod tests {
     fn batched_and_unbatched_agree_bit_identically() {
         let accesses = trace(10_000);
         let mut batched = system(7); // awkward depth to exercise partial flushes
-        batched.run_batched(&accesses);
+        batched.try_run_batched(&accesses).unwrap();
         let mut unbatched = system(64);
         let mut replay = workloads::Trace::from_accesses("trace", accesses).replay();
         unbatched.try_run(&mut replay, 10_000).unwrap();
@@ -445,7 +436,7 @@ mod tests {
             shard.try_run_batch(batch).unwrap();
         }
         let mut auto = system(64);
-        auto.run_batched(&accesses);
+        auto.try_run_batched(&accesses).unwrap();
         assert_eq!(manual.finish(), auto.finish());
     }
 
@@ -472,12 +463,12 @@ mod tests {
     fn system_checkpoint_resumes_bit_identically_through_json_text() {
         let accesses = trace(40_000);
         let mut full = system(64);
-        full.run_batched(&accesses[..20_000]);
+        full.try_run_batched(&accesses[..20_000]).unwrap();
         let text = full.snapshot().unwrap().to_string();
         let mut resumed = system(64);
         resumed.restore(&telemetry::json::parse(&text).unwrap()).unwrap();
-        full.run_batched(&accesses[20_000..]);
-        resumed.run_batched(&accesses[20_000..]);
+        full.try_run_batched(&accesses[20_000..]).unwrap();
+        resumed.try_run_batched(&accesses[20_000..]).unwrap();
         assert_eq!(full.clock(), resumed.clock());
         assert_eq!(full.finish(), resumed.finish());
         assert_eq!(full.snapshot().unwrap().to_string(), resumed.snapshot().unwrap().to_string());
@@ -495,10 +486,11 @@ mod tests {
     #[test]
     fn global_clock_accumulates_gaps() {
         let mut sys = system(64);
-        sys.run_batched(&[
+        sys.try_run_batched(&[
             Access { bank: 0, row: RowId(1), gap: 1_000, stream: 0 },
             Access { bank: 1, row: RowId(1), gap: 2_000, stream: 0 },
-        ]);
+        ])
+        .unwrap();
         assert_eq!(sys.clock(), 3_000);
         // The two accesses land on different channels under bank
         // interleaving, each stamped with the *global* arrival time.

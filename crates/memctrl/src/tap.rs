@@ -238,7 +238,7 @@ mod tests {
             .defenses_with(|b| Box::new(Para::new(0.01, b as u64)))
             .telemetry(TelemetryTap::new(Box::new(sink.clone()), Cadence::EveryActs(1_000)))
             .build();
-        let stats = mc.run(&mut Synthetic::s3(65_536, 1), 30_000);
+        let stats = mc.try_run(&mut Synthetic::s3(65_536, 1), 30_000).unwrap();
         let snap = sink.snapshot("tap-test");
         let acts = snap.series_for("mc.acts", 0).expect("acts series");
         assert_eq!(acts.samples.last().unwrap().value, stats.activations as f64);
@@ -257,15 +257,17 @@ mod tests {
         let mut mc = McBuilder::new(McConfig::micro2020_no_oracle())
             .telemetry(TelemetryTap::new(Box::new(sink.clone()), Cadence::EveryActs(500)))
             .build();
-        let stats = mc.run(
-            &mut workloads::ProxyWorkload::from_preset(
-                workloads::SpecPreset::Libquantum,
-                64,
-                65_536,
-                5,
-            ),
-            20_000,
-        );
+        let stats = mc
+            .try_run(
+                &mut workloads::ProxyWorkload::from_preset(
+                    workloads::SpecPreset::Libquantum,
+                    64,
+                    65_536,
+                    5,
+                ),
+                20_000,
+            )
+            .unwrap();
         let snap = sink.snapshot("tap-test");
         let counted = snap.counters.iter().find(|(n, _)| n == "mc.acts").unwrap().1;
         assert_eq!(counted, stats.activations);
@@ -284,7 +286,7 @@ mod tests {
         let mut mc = McBuilder::new(McConfig::single_bank(65_536, None))
             .telemetry(TelemetryTap::new(Box::new(NoopSink), Cadence::EveryActs(1)))
             .build();
-        mc.run(&mut Synthetic::s3(65_536, 1), 5_000);
+        mc.try_run(&mut Synthetic::s3(65_536, 1), 5_000).unwrap();
         let tap = mc.telemetry().expect("tap attached");
         assert!(!tap.is_active());
         assert!(tap.banks.is_empty(), "inactive tap must not even allocate");
@@ -305,7 +307,7 @@ mod tests {
             .build_system();
         let mut w =
             workloads::ProxyWorkload::from_preset(workloads::SpecPreset::Libquantum, 64, 65_536, 5);
-        system.run_batched(&w.take_accesses(20_000));
+        system.try_run_batched(&w.take_accesses(20_000)).unwrap();
         let stats = system.finish();
         let snap = sink.snapshot("keyed-tap-test");
 

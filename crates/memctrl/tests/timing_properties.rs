@@ -93,7 +93,7 @@ proptest! {
                 stream: (x % 4) as u16,
             });
         }
-        let stats = mc.run(&mut Replay { accesses: rng_rows, i: 0 }, n);
+        let stats = mc.try_run(&mut Replay { accesses: rng_rows, i: 0 }, n).unwrap();
         prop_assert_eq!(stats.accesses, n);
         prop_assert_eq!(stats.activations + stats.row_hits, n);
         prop_assert!(stats.completion > 0);
@@ -112,7 +112,7 @@ fn command_log_is_protocol_clean_under_random_traffic() {
         .command_log(CommandLog::unbounded())
         .build();
     let mut w = workloads::Synthetic::s2(10, 65_536, 5);
-    mc.run(&mut w, 30_000);
+    mc.try_run(&mut w, 30_000).unwrap();
     let log = mc.command_log().expect("log attached");
     assert!(log.len() > 5_000, "log too small: {}", log.len());
     let violations = ProtocolChecker::new(timing).check(log);
@@ -127,7 +127,7 @@ fn queued_mode_is_protocol_clean_too() {
         .command_log(CommandLog::unbounded())
         .build();
     let mut w = workloads::Synthetic::s1(10, 65_536, 9);
-    mc.run_queued(&mut w, 30_000, SchedulerConfig::par_bs_like());
+    mc.try_run_queued(&mut w, 30_000, SchedulerConfig::par_bs_like()).unwrap();
     let violations = ProtocolChecker::new(timing).check(mc.command_log().unwrap());
     assert!(violations.is_empty(), "protocol violations: {violations:?}");
 }
@@ -150,7 +150,7 @@ fn defense_busy_time_matches_victim_rows() {
     let mut mc = McBuilder::new(McConfig::single_bank(65_536, None))
         .defenses_with(|b| Box::new(Para::new(0.05, b as u64)) as _)
         .build();
-    let stats = mc.run(&mut Synthetic::s1(10, 65_536, 3), 20_000);
+    let stats = mc.try_run(&mut Synthetic::s1(10, 65_536, 3), 20_000).unwrap();
     let expected =
         stats.victim_rows_refreshed * timing.t_rc + stats.defense_refresh_commands * timing.t_rp;
     assert_eq!(stats.defense_busy, expected);

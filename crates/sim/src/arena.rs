@@ -26,7 +26,6 @@ use dram_model::Generation;
 use memctrl::RunStats;
 use mitigations::{BlockHammerConfig, CometConfig, TableBits};
 use rh_analysis::{ArenaAreaComparison, EnergyModel, FnCertificate};
-use serde::Serialize;
 
 use crate::runner::{matrix_mc_config, sweep, Group, RawCell};
 use crate::scenarios::{DefenseSpec, GenSpec, WorkloadSpec};
@@ -95,7 +94,7 @@ pub fn arena_lineup(t_rh: u64) -> Vec<DefenseSpec> {
 }
 
 /// One scored cell of the arena matrix.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArenaCell {
     /// Row Hammer threshold of this cell.
     pub t_rh: u64,

@@ -270,7 +270,8 @@ fn execute_faulted(
         .faults(plan.clone())
         .build();
     let mut w = workload.build(banks as u16, rows, seed);
-    let stats = mc.run(w.as_mut(), accesses);
+    // invariant: the workload is built for the controller's own geometry.
+    let stats = mc.try_run(w.as_mut(), accesses).expect("workload fits its own geometry");
     let faults = mc.fault_stats().copied().unwrap_or_default();
     let sink = retry.with(|s| *s.stats());
     // End-of-run bookkeeping goes straight into the recorder: these writes

@@ -17,7 +17,6 @@
 
 use dram_model::Generation;
 use rh_analysis::EnergyModel;
-use serde::Serialize;
 
 use crate::runner::{matrix_mc_config, sweep, Group, RawCell, Run};
 use crate::scenarios::{DefenseSpec, GenSpec, WorkloadSpec};
@@ -104,7 +103,7 @@ pub fn generation_lineup(generation: Generation, t_rh: u64) -> Vec<GenSpec> {
 }
 
 /// One scored cell of the cross-generation matrix.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenerationCell {
     /// Generation name (`ddr4`, `ddr5`, `lpddr4x`, `lpddr5`).
     pub generation: String,
@@ -278,7 +277,7 @@ mod tests {
                 let mut mc =
                     McBuilder::new(legacy_cfg.clone()).defenses(&defense).audit(true).build();
                 let mut w = workload.build(1, rows, 42);
-                mc.run(w.as_mut(), 30_000)
+                mc.try_run(w.as_mut(), 30_000).unwrap()
             };
             let (generational, _) =
                 execute(&gen_cfg, &GenSpec::ddr4(defense), &workload, 30_000, 42, true, None);

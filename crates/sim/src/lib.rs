@@ -72,7 +72,7 @@ pub use fleet::{
     read_fleet_checkpoint, run_fleet, run_fleet_supervised, synth_fleet_trace,
     write_fleet_checkpoint, CheckpointStore, CkptFingerprint, FleetCheckpoint, FleetConfig,
     FleetError, FleetProgress, FleetReport, SupervisorConfig, SupervisorReport,
-    FLEET_CKPT_FOOTER_SCHEMA, FLEET_CKPT_SCHEMA, FLEET_CKPT_SCHEMA_V1,
+    FLEET_CKPT_FOOTER_SCHEMA, FLEET_CKPT_SCHEMA,
 };
 pub use generations::{
     generation_lineup, run_generation_matrix, GenerationCell, GenerationMatrixConfig,

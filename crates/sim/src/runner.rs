@@ -10,7 +10,6 @@ use memctrl::{
     DefenseFactory, McBuilder, McConfig, MemoryController, RunStats, StatsAudit, TelemetryTap,
 };
 use rh_analysis::EnergyModel;
-use serde::{Deserialize, Serialize};
 use telemetry::{Cadence, MetricsSink, NoopSink, Recorder, SharedSink, Snapshot};
 
 use crate::pool;
@@ -19,7 +18,7 @@ use crate::scenarios::{DefenseSpec, GenSpec, WorkloadSpec};
 /// Telemetry wiring for a campaign: how often instrumented defenses and the
 /// controller tap sample, how much history each per-bank ring keeps, and
 /// whether to use a recording sink at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetrySpec {
     /// Sample every this many ACTs (must be ≥ 1).
     pub every_acts: u64,
@@ -51,7 +50,7 @@ impl Default for TelemetrySpec {
 }
 
 /// Configuration of one simulation campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Memory-controller/system configuration used for *normal* workloads.
     pub system: McConfig,
@@ -146,7 +145,7 @@ pub(crate) fn matrix_mc_config(
 
 /// Result of one (defense, workload) pair, relative to the defense-free
 /// baseline of the same trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Defense name.
     pub defense: String,
@@ -249,7 +248,8 @@ pub(crate) fn execute(
         }
     };
     let mut w = workload.build(banks as u16, rows, seed);
-    let stats = mc.run(w.as_mut(), accesses);
+    // invariant: the workload is built for the controller's own geometry.
+    let stats = mc.try_run(w.as_mut(), accesses).expect("workload fits its own geometry");
     if audit {
         audit_run(&mc, &stats, &defense.defense, workload);
     }

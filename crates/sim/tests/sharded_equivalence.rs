@@ -76,7 +76,7 @@ fn run_equivalence(trace: &[Access], policy: MappingPolicy, recorded: bool) {
         });
     }
     let mut system = builder.build_system();
-    system.run_batched(trace);
+    system.try_run_batched(trace).unwrap();
     let system_stats = system.finish();
 
     // Legacy path: each channel's sub-trace through a single-shard
@@ -98,7 +98,7 @@ fn run_equivalence(trace: &[Access], policy: MappingPolicy, recorded: bool) {
         }
         let mut mc = builder.build();
         let n = sub.len() as u64;
-        let legacy = mc.run(&mut Trace::from_accesses("sub", sub).replay(), n);
+        let legacy = mc.try_run(&mut Trace::from_accesses("sub", sub).replay(), n).unwrap();
         assert_eq!(
             got, &legacy,
             "channel {c} diverged from the legacy path under {policy:?} (recorded: {recorded})"

@@ -1,8 +1,7 @@
 //! A minimal JSON value model, renderer, and parser.
 //!
-//! The workspace's `serde` is an offline no-op stub (see `vendor/README.md`),
-//! so every snapshot format in this crate is rendered and parsed by hand.
-//! The surface is deliberately small: the snapshot schema only needs
+//! The workspace has no serialization dependency, so every snapshot format
+//! in this crate is rendered and parsed by hand. The surface is deliberately small: the snapshot schema only needs
 //! objects, arrays, strings, booleans, `u64` counters, and `f64` samples.
 //!
 //! Numbers keep their integer-ness through a round trip: the parser tries

@@ -102,7 +102,7 @@ fn full_system_runs_all_defenses_together() {
     for defense in counter_based(50_000) {
         let mut mc = McBuilder::new(McConfig::micro2020()).defenses(&defense).build();
         let mut w = WorkloadSpec::MixBlend.build(64, 65_536, 9);
-        let stats = mc.run(w.as_mut(), 60_000);
+        let stats = mc.try_run(w.as_mut(), 60_000).unwrap();
         assert_eq!(stats.accesses, 60_000);
         assert!(stats.activations > 0);
         assert!(mc.is_clean(), "{:?} flipped on benign traffic", defense.name());

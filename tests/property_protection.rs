@@ -81,7 +81,7 @@ proptest! {
             })
             .build();
         let mut adversary = RandomAdversary::new(seed, 8_192);
-        let stats = mc.run(&mut adversary, 80_000);
+        let stats = mc.try_run(&mut adversary, 80_000).unwrap();
         prop_assert_eq!(stats.bit_flips, 0);
     }
 
@@ -93,7 +93,7 @@ proptest! {
         let model = DisturbanceModel { t_rh, mu: MuModel::Adjacent };
         let mut mc = McBuilder::new(McConfig::single_bank(8_192, Some(model))).build();
         let mut adversary = RandomAdversary::new(seed, 8_192);
-        let stats = mc.run(&mut adversary, 80_000);
+        let stats = mc.try_run(&mut adversary, 80_000).unwrap();
         // Not every random phase mix reaches T_RH on one row, but most do;
         // require success for a clear majority by checking this seed range
         // collectively is meaningful — assert at least the hammer phases
@@ -110,7 +110,7 @@ fn unprotected_baseline_flips_for_most_seeds() {
         let model = DisturbanceModel { t_rh, mu: MuModel::Adjacent };
         let mut mc = McBuilder::new(McConfig::single_bank(8_192, Some(model))).build();
         let mut adversary = RandomAdversary::new(seed, 8_192);
-        if mc.run(&mut adversary, 80_000).bit_flips > 0 {
+        if mc.try_run(&mut adversary, 80_000).unwrap().bit_flips > 0 {
             flipped += 1;
         }
     }
