@@ -3,16 +3,18 @@
 //!
 //! Measurements:
 //!
-//! 1. **Table throughput** — ACTs/sec through the struct-of-arrays
-//!    [`CounterTable`] versus the two retained references: the
-//!    shadow-indexed [`IndexedCounterTable`] (HashMap address index +
-//!    BTreeMap count index, the previous production layout) and the
-//!    naive-scan [`LinearCounterTable`], on an identical miss-heavy stream
-//!    at `N_entry ∈ {81, 672, 2720}` — the paper's table sizes for `T_RH`
-//!    50K, 25K(±), and 2K-class thresholds. The SoA numbers are asserted
-//!    **monotone-ish**: a bigger table scans more, so throughput must not
-//!    *rise* with size beyond noise ([`MONOTONE_SLACK`]) — the regression
-//!    shape the old shadow-indexed table exhibited at `N_entry = 672`.
+//! 1. **Table throughput** — ACTs/sec through the production
+//!    [`CounterTable`] versus the naive-scan reference
+//!    [`LinearCounterTable`], on an identical miss-heavy stream at
+//!    `N_entry ∈ {81, 672, 2720}` — the paper's table sizes for `T_RH`
+//!    50K, 25K(±), and 2K-class thresholds. Address lookups go through the
+//!    slot index and do not scan, so production throughput should be about
+//!    flat in `N_entry`; it is asserted **monotone-ish** — it must not
+//!    *rise* between adjacent sizes beyond noise ([`MONOTONE_SLACK`]), the
+//!    shape a mid-size pathology takes (an earlier BTreeMap count index
+//!    dipped at `N_entry = 672`). The sizes are timed round-robin within
+//!    each rep, so host drift spreads over all of them instead of reading
+//!    as a size effect.
 //! 2. **Sweep wall time** — a small `run_matrix` grid on the work-stealing
 //!    pool, as an end-to-end smoke number.
 //! 3. **Telemetry noop overhead** — the Graphene defense hot loop bare
@@ -43,7 +45,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dram_model::RowId;
-use graphene_core::reference::{IndexedCounterTable, LinearCounterTable};
+use graphene_core::reference::LinearCounterTable;
 use graphene_core::{CounterTable, GrapheneConfig};
 use memctrl::MappingPolicy;
 use mitigations::{GrapheneDefense, RowHammerDefense};
@@ -57,12 +59,17 @@ const TABLE_SIZES: [usize; 3] = [81, 672, 2720];
 /// depends on it, so one representative value serves all sizes.
 const T: u64 = 2_048;
 /// Largest tolerated throughput *rise* between adjacent ascending table
-/// sizes. Scanning a bigger table strictly adds work, so ACTs/sec should
-/// fall (or hold) as `N_entry` grows; a rise past this factor means a
-/// mid-size pathology crept back in — the old shadow-indexed table ran
-/// 3.2M ACTs/s at 672 but 4.7M at 2720 (BTreeMap count-index churn peaks
-/// where wraps are frequent relative to table size).
+/// sizes. A bigger table never does less work per ACT, so ACTs/sec should
+/// hold (or fall) as `N_entry` grows; a rise past this factor means a
+/// mid-size pathology crept in — an earlier HashMap/BTreeMap-indexed table
+/// ran 3.2M ACTs/s at 672 but 4.7M at 2720 (count-index churn peaks where
+/// wraps are frequent relative to table size).
 const MONOTONE_SLACK: f64 = 1.25;
+/// Round-robin timing reps per table size; the median is recorded. The
+/// monotone-ish guard compares sizes within one run, so each size needs
+/// enough reps that one preempted millisecond-long rep cannot set its
+/// median.
+const TABLE_REPS: usize = 5;
 /// Interleaved timing reps per side for the noop-overhead measurement; the
 /// recorded number is the median of these.
 const NOOP_REPS: usize = 7;
@@ -77,9 +84,7 @@ struct ThroughputRow {
     n_entry: usize,
     acts: u64,
     soa_acts_per_sec: f64,
-    indexed_acts_per_sec: f64,
     linear_acts_per_sec: f64,
-    soa_vs_indexed: f64,
     soa_vs_linear: f64,
 }
 
@@ -113,50 +118,61 @@ fn time_table(mut process: impl FnMut(RowId) -> bool, acts: u64, n_entry: usize)
     (acts as f64 / start.elapsed().as_secs_f64(), triggers)
 }
 
-fn measure_table(n_entry: usize, acts: u64) -> ThroughputRow {
-    // Identical streams; the trigger/spillover cross-checks make the
-    // measurement double as a coarse three-way equivalence assertion. Each
-    // variant is timed [`SCALING_REPS`] times (medians recorded): the
-    // monotone-ish guard below compares rows against each other, so one
-    // noisy draw would read as a size-dependent pathology.
-    let mut soa_reps = Vec::with_capacity(SCALING_REPS);
-    let mut indexed_reps = Vec::with_capacity(SCALING_REPS);
-    let mut linear_reps = Vec::with_capacity(SCALING_REPS);
-    for _ in 0..SCALING_REPS {
-        let mut soa = CounterTable::new(n_entry, T);
-        let (soa_aps, soa_triggers) =
-            time_table(|row| soa.process_activation(row).triggered(), acts, n_entry);
-
-        let mut indexed = IndexedCounterTable::new(n_entry, T);
-        let (indexed_aps, indexed_triggers) =
-            time_table(|row| indexed.process_activation(row).triggered(), acts, n_entry);
-
-        let mut linear = LinearCounterTable::new(n_entry, T);
-        let (linear_aps, linear_triggers) =
-            time_table(|row| linear.process_activation(row).triggered(), acts, n_entry);
-
-        assert_eq!(soa_triggers, indexed_triggers, "SoA/indexed diverged at N_entry={n_entry}");
-        assert_eq!(soa_triggers, linear_triggers, "SoA/linear diverged at N_entry={n_entry}");
-        assert_eq!(soa.spillover(), indexed.spillover());
-        assert_eq!(soa.spillover(), linear.spillover());
-
-        soa_reps.push(soa_aps);
-        indexed_reps.push(indexed_aps);
-        linear_reps.push(linear_aps);
+/// Times every size in [`TABLE_SIZES`], production and reference tables
+/// alike, [`TABLE_REPS`] times and records the medians. Each rep times the
+/// production table at every size back to back, then the reference: the
+/// monotone-ish guard compares sizes against each other, so their timings
+/// must share host conditions — timing one size's reps back to back, or
+/// interleaving the reference's far longer runs between sizes, would let
+/// drift read as a size-dependent pathology. The trigger/spillover
+/// cross-checks make the measurement double as a coarse equivalence
+/// assertion.
+fn measure_tables(acts: u64) -> Vec<ThroughputRow> {
+    let mut soa_reps = vec![Vec::with_capacity(TABLE_REPS); TABLE_SIZES.len()];
+    let mut linear_reps = vec![Vec::with_capacity(TABLE_REPS); TABLE_SIZES.len()];
+    for rep in 0..TABLE_REPS {
+        let mut soa_runs = vec![(0, 0); TABLE_SIZES.len()];
+        // Alternate the visiting order, so a drift within a rep favors the
+        // large and the small sizes equally often.
+        let mut order: Vec<usize> = (0..TABLE_SIZES.len()).collect();
+        if rep % 2 == 1 {
+            order.reverse();
+        }
+        for k in order {
+            let n_entry = TABLE_SIZES[k];
+            let mut soa = CounterTable::new(n_entry, T);
+            let (aps, triggers) =
+                time_table(|row| soa.process_activation(row).triggered(), acts, n_entry);
+            soa_reps[k].push(aps);
+            soa_runs[k] = (triggers, soa.spillover());
+        }
+        for (k, &n_entry) in TABLE_SIZES.iter().enumerate() {
+            let mut linear = LinearCounterTable::new(n_entry, T);
+            let (aps, triggers) =
+                time_table(|row| linear.process_activation(row).triggered(), acts, n_entry);
+            linear_reps[k].push(aps);
+            assert_eq!(
+                soa_runs[k],
+                (triggers, linear.spillover()),
+                "SoA/linear diverged at N_entry={n_entry}"
+            );
+        }
     }
-
-    let soa_aps = median(&mut soa_reps);
-    let indexed_aps = median(&mut indexed_reps);
-    let linear_aps = median(&mut linear_reps);
-    ThroughputRow {
-        n_entry,
-        acts,
-        soa_acts_per_sec: soa_aps,
-        indexed_acts_per_sec: indexed_aps,
-        linear_acts_per_sec: linear_aps,
-        soa_vs_indexed: soa_aps / indexed_aps,
-        soa_vs_linear: soa_aps / linear_aps,
-    }
+    TABLE_SIZES
+        .iter()
+        .zip(soa_reps.iter_mut().zip(&mut linear_reps))
+        .map(|(&n_entry, (soa, linear))| {
+            let soa_aps = median(soa);
+            let linear_aps = median(linear);
+            ThroughputRow {
+                n_entry,
+                acts,
+                soa_acts_per_sec: soa_aps,
+                linear_acts_per_sec: linear_aps,
+                soa_vs_linear: soa_aps / linear_aps,
+            }
+        })
+        .collect()
 }
 
 /// The monotone-ish guard: SoA throughput must not rise with table size
@@ -168,7 +184,7 @@ fn assert_monotone_ish(rows: &[ThroughputRow]) {
             large.soa_acts_per_sec <= small.soa_acts_per_sec * MONOTONE_SLACK,
             "non-monotonic table throughput: N_entry={} runs {:.0} ACTs/s but larger \
              N_entry={} runs {:.0} ACTs/s (> {MONOTONE_SLACK}x) — a mid-size pathology \
-             like the old shadow-index churn dip is back",
+             like the old count-index churn dip is back",
             small.n_entry,
             small.soa_acts_per_sec,
             large.n_entry,
@@ -418,20 +434,12 @@ fn main() {
         time_table(|row| warm.process_activation(row).triggered(), acts / 2, TABLE_SIZES[0]);
     }
 
-    let mut rows = Vec::new();
-    for &n in &TABLE_SIZES {
-        let row = measure_table(n, acts);
+    let rows = measure_tables(acts);
+    for row in &rows {
         println!(
-            "N_entry {:>5}: soa {:>12.0} ACTs/s | indexed {:>12.0} | linear {:>12.0} \
-             | soa/indexed {:>5.2}x | soa/linear {:>6.1}x",
-            row.n_entry,
-            row.soa_acts_per_sec,
-            row.indexed_acts_per_sec,
-            row.linear_acts_per_sec,
-            row.soa_vs_indexed,
-            row.soa_vs_linear
+            "N_entry {:>5}: soa {:>12.0} ACTs/s | linear {:>12.0} | soa/linear {:>6.1}x",
+            row.n_entry, row.soa_acts_per_sec, row.linear_acts_per_sec, row.soa_vs_linear
         );
-        rows.push(row);
     }
     assert_monotone_ish(&rows);
 
@@ -528,16 +536,8 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"n_entry\": {}, \"acts\": {}, \"soa_acts_per_sec\": {:.0}, \
-             \"indexed_acts_per_sec\": {:.0}, \"linear_acts_per_sec\": {:.0}, \
-             \"soa_vs_indexed\": {:.2}, \"soa_vs_linear\": {:.2}}}{}",
-            r.n_entry,
-            r.acts,
-            r.soa_acts_per_sec,
-            r.indexed_acts_per_sec,
-            r.linear_acts_per_sec,
-            r.soa_vs_indexed,
-            r.soa_vs_linear,
-            comma
+             \"linear_acts_per_sec\": {:.0}, \"soa_vs_linear\": {:.2}}}{}",
+            r.n_entry, r.acts, r.soa_acts_per_sec, r.linear_acts_per_sec, r.soa_vs_linear, comma
         );
     }
     let _ = writeln!(json, "  ],");

@@ -16,43 +16,45 @@
 //! The table also counts its CAM searches/writes ([`CamStats`]) so the
 //! energy model can be driven by real access mixes.
 //!
-//! # Struct-of-arrays layout
+//! # Layout
 //!
 //! In hardware both lookups are single-cycle CAM searches. The software
-//! model answers them with **linear scans over packed lanes**: the row
-//! addresses live in a contiguous `u32` key lane (one 64-byte cache line
-//! covers 16 keys, and the chunked compare loop autovectorizes), and the
-//! spillover match scans a `u32` *probe lane* holding each entry's count
-//! with overflowed entries masked out by a sentinel. At the paper's largest
-//! table (N_entry = 2720) each lane is ~10.6 KB — L1-resident — where the
-//! previous array-of-structs `Vec<Entry>` plus `HashMap`/`BTreeMap` shadow
-//! indexes scattered every probe across pointer-chasing heap structures and
-//! fell off a throughput cliff as N_entry grew.
+//! model answers them as follows:
 //!
-//! Two O(1)-maintenance accelerators keep the dominant miss path from
-//! paying both full scans:
-//!
-//! * a **counting presence filter** (4× overprovisioned bucket histogram
-//!   of the valid keys) answers most address misses with a single load —
-//!   only a hash collision falls through to the exact key-lane scan;
-//! * a **probe cursor** exploits that, within one spillover round, counts
-//!   only grow: each count search resumes at the previous match instead of
-//!   rescanning the prefix, so a whole round of replacements costs about
-//!   one pass over the probe lane in total. Any event that can break the
+//! * **Address CAM → exact slot index.** Each entry is one 16-byte record
+//!   holding its row address, count field, valid/overflow/parity bits and
+//!   an index link. The index hashes a key into one of `4 × N_entry`
+//!   buckets (power of two); a bucket heads a chain of the *valid* slots
+//!   whose stored address hashes there, linked through the records in
+//!   ascending slot order. A lookup walks that chain and returns the first
+//!   slot whose address matches — the lowest one, which is the CAM priority
+//!   encoder's answer when a fault hook has left two slots holding one
+//!   address. Every key write (replacement, reset, restore, and
+//!   [`corrupt_addr_bit`](CounterTable::corrupt_addr_bit)) relinks the slot,
+//!   so the index always describes the addresses *as stored*. A hit thus
+//!   touches one bucket word and one record.
+//! * **Count CAM → probe lane + cursor.** The spillover match scans a dense
+//!   `u32` *probe lane* holding each entry's count, with overflowed entries
+//!   masked out by a sentinel; the compare loop autovectorizes, 16 slots
+//!   per 64-byte line. Within one spillover round counts only grow, so each
+//!   count search resumes at the previous match (the **probe cursor**)
+//!   instead of rescanning the prefix: a whole round of replacements costs
+//!   about one pass over the lane. Any event that can break the
 //!   monotonicity (spillover change, reset, count corruption) rewinds the
-//!   cursor to slot 0.
+//!   cursor to slot 0, and a bump that brings a slot below the cursor to
+//!   the spillover value (reachable only after corruption) pulls the cursor
+//!   back to that slot.
 //!
-//! The scans are pure acceleration-layout: they change no observable
-//! behavior (see `tests/indexed_differential.rs`, which locksteps this
-//! table against both
-//! [`reference::LinearCounterTable`](crate::reference::LinearCounterTable)
-//! and the retained shadow-indexed
-//! [`reference::IndexedCounterTable`](crate::reference::IndexedCounterTable)),
-//! and they do **not** perturb [`CamStats`] — those counters model the
+//! The wrap counts (`crossings`) are software bookkeeping and sit in a cold
+//! lane of their own, written only on a wrap.
+//!
+//! None of this is observable: `tests/indexed_differential.rs` locksteps
+//! this table against the linear-scan
+//! [`reference::LinearCounterTable`](crate::reference::LinearCounterTable),
+//! including address corruptions that make two slots hold one row. Nor do
+//! the index and cursor perturb [`CamStats`] — those counters model the
 //! *logical* CAM accesses the hardware would perform, not the software work
 //! done to simulate them.
-
-use std::collections::HashMap;
 
 use dram_model::geometry::RowId;
 
@@ -64,9 +66,14 @@ use crate::cam::CamStats;
 /// falls back to an exact scan for that one value.)
 const OVERFLOW_SENTINEL: u32 = u32::MAX;
 
-/// Keys compared per chunk of the scan loops: 16 × `u32` = one 64-byte
+/// Slots compared per chunk of the probe-lane scan: 16 × `u32` = one 64-byte
 /// cache line, and a width LLVM turns into SIMD compares.
 const SCAN_LANES: usize = 16;
+
+/// Chain terminator of the slot index. Greater than every slot number, so a
+/// chain walk looking for the insertion point of slot `s` stops at the end
+/// of the chain without a separate check.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Outcome of processing one activation through the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,8 +113,8 @@ impl TableUpdate {
 ///
 /// Holds only the *primary* lanes — what the hardware's SRAM actually
 /// stores plus the software bookkeeping counters. Acceleration state
-/// (probe lane, presence filter, probe cursor) and parity bits are derived
-/// on restore.
+/// (probe lane, slot index, probe cursor) and parity bits are derived on
+/// restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSnapshot {
     /// Address-CAM key lane (stale bits preserved for invalid slots).
@@ -128,11 +135,47 @@ pub struct TableSnapshot {
     pub stats: CamStats,
 }
 
+/// One table entry: the stored bits of a CAM row plus its index link, in
+/// one 16-byte record so a hit or replacement touches a single line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    /// Address field; stale bits while `valid` is clear.
+    addr: u32,
+    /// Count field, always `< T` in fault-free operation (wraps at `T`). A
+    /// [`corrupt_count_bit`](CounterTable::corrupt_count_bit) flip may push
+    /// it to `T` or beyond, exactly like the real register.
+    low: u32,
+    /// Next slot in this entry's index chain, or [`NO_SLOT`]. Meaningful
+    /// only while `valid` is set.
+    next: u32,
+    valid: bool,
+    /// The entry reached `T` this window and is non-evictable.
+    overflow: bool,
+    /// Parity over (valid, addr, low, overflow), written on every
+    /// legitimate entry write. A `corrupt_*` soft error leaves it stale —
+    /// exactly how SRAM parity detects single-bit upsets.
+    parity: bool,
+}
+
+// A record must stay one quarter of a 64-byte line.
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+
+impl Entry {
+    const EMPTY: Entry =
+        Entry { addr: 0, low: 0, next: NO_SLOT, valid: false, overflow: false, parity: false };
+
+    /// Parity (odd number of set bits) of the hardware-visible fields.
+    fn parity_of_bits(&self) -> bool {
+        let addr_ones = if self.valid { self.addr.count_ones() + 1 } else { 0 };
+        (addr_ones + self.low.count_ones() + u32::from(self.overflow)) % 2 == 1
+    }
+}
+
 /// The Graphene per-bank counter table.
 ///
-/// Both hot-path lookups (address hit, spillover-count match) scan packed
-/// `u32` lanes that stay L1-resident at paper-scale table sizes; see the
-/// module docs for why the layout cannot change observable behavior.
+/// Address lookups go through an exact chained slot index and the
+/// spillover-count match scans a dense probe lane; see the module docs for
+/// the layout and why it cannot change observable behavior.
 ///
 /// # Example
 ///
@@ -148,54 +191,31 @@ pub struct TableSnapshot {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterTable {
-    /// Address-CAM key lane. Entry `i`'s stored row address; meaningless
-    /// (stale) bits while the valid bit is clear — the scan confirms
-    /// validity before reporting a hit.
-    keys: Vec<u32>,
-    /// Count lane, always `< T` in fault-free operation (wraps at `T`). A
-    /// [`corrupt_count_bit`](Self::corrupt_count_bit) flip may push it to
-    /// `T` or beyond, exactly like the real register.
-    low: Vec<u32>,
-    /// Count-CAM probe lane: `low[i]` for non-overflowed entries,
+    entries: Vec<Entry>,
+    /// Count-CAM probe lane: `entries[i].low` for non-overflowed entries,
     /// [`OVERFLOW_SENTINEL`] once the overflow bit is set — so the
     /// spillover match is a single linear `u32` compare over this lane,
     /// with overflowed entries masked out for free.
     probe_low: Vec<u32>,
-    /// Valid bits, packed 64 per word.
-    valid: Vec<u64>,
-    /// Overflow bits (entry reached `T`; non-evictable this window).
-    overflow: Vec<bool>,
     /// Wrap counts (crossings of multiples of `T`). Not hardware state —
-    /// kept for statistics and verification; the hardware only needs
-    /// `overflow`.
+    /// kept for statistics and verification; the hardware only needs the
+    /// overflow bit.
     crossings: Vec<u64>,
-    /// Per-entry parity bit over (valid, addr, low, overflow), written on
-    /// every legitimate entry write. A [`corrupt_count_bit`] /
-    /// [`corrupt_addr_bit`] soft error leaves it stale — exactly how SRAM
-    /// parity detects single-bit upsets.
-    ///
-    /// [`corrupt_count_bit`]: Self::corrupt_count_bit
-    /// [`corrupt_addr_bit`]: Self::corrupt_addr_bit
-    parity: Vec<bool>,
+    /// Slot-index bucket heads: the lowest valid slot whose address hashes
+    /// to the bucket, or [`NO_SLOT`]. Power-of-two length.
+    buckets: Vec<u32>,
+    /// Number of valid entries.
+    occupancy: usize,
     spillover: u64,
     tracking_threshold: u64,
     acts_since_reset: u64,
     stats: CamStats,
-    /// Parity bit of the spillover register, same discipline.
+    /// Parity bit of the spillover register, same discipline as
+    /// [`Entry::parity`].
     spillover_parity: bool,
     /// One-shot flag making the next Address-CAM search miss
     /// ([`suppress_next_lookup`](Self::suppress_next_lookup)).
     suppress_lookup: bool,
-    /// Counting presence filter over the *valid* keys: bucket
-    /// `hash(key) & mask` holds how many valid slots hash there. A zero
-    /// bucket proves the key is absent, so the dominant miss path skips the
-    /// key-lane scan entirely; a nonzero bucket (real hit or collision)
-    /// falls through to the exact scan. Maintained O(1) at every key write
-    /// — including [`corrupt_addr_bit`](Self::corrupt_addr_bit), which
-    /// moves the (corrupted) key between buckets so the filter keeps
-    /// describing the lane as stored. Acceleration only: never consulted
-    /// for anything the exact scan wouldn't confirm.
-    filter: Vec<u16>,
     /// Lowest slot index at which the current spillover value can still
     /// match the probe lane: within one spillover round, counts only grow
     /// (bumps destroy matches, never create them), so each count search
@@ -212,103 +232,97 @@ impl CounterTable {
     ///
     /// # Panics
     ///
-    /// Panics if `n_entry == 0`, `t == 0`, or `t` exceeds `u32::MAX` (the
-    /// count lane is 32 bits wide; every real DDR4/5 threshold is orders of
-    /// magnitude below that).
+    /// Panics if `n_entry == 0` or does not fit a 32-bit slot number, if
+    /// `t == 0`, or if `t` exceeds `u32::MAX` (the count field is 32 bits
+    /// wide; every real DDR4/5 threshold is orders of magnitude below that).
     pub fn new(n_entry: usize, t: u64) -> Self {
         assert!(n_entry > 0, "table must have at least one entry");
+        assert!(
+            u32::try_from(n_entry).is_ok_and(|n| n < NO_SLOT),
+            "table must fit 32-bit slot numbers"
+        );
         assert!(t > 0, "tracking threshold must be positive");
         assert!(t <= u64::from(u32::MAX), "tracking threshold must fit the 32-bit count lane");
         CounterTable {
-            keys: vec![0; n_entry],
-            low: vec![0; n_entry],
+            entries: vec![Entry::EMPTY; n_entry],
             probe_low: vec![0; n_entry],
-            valid: vec![0; n_entry.div_ceil(64)],
-            overflow: vec![false; n_entry],
             crossings: vec![0; n_entry],
-            parity: vec![false; n_entry],
+            // 4x overprovisioned: at most one valid slot per four buckets,
+            // so a miss usually ends on an empty bucket and a hit on the
+            // chain's first record.
+            buckets: vec![NO_SLOT; (n_entry * 4).next_power_of_two().max(64)],
+            occupancy: 0,
             spillover: 0,
             tracking_threshold: t,
             acts_since_reset: 0,
             stats: CamStats::default(),
             spillover_parity: false,
             suppress_lookup: false,
-            // 4x overprovisioned and power-of-two: at the paper's largest
-            // table (2720 entries, 16384 buckets) an absent key hits a
-            // nonzero bucket — and pays the exact scan — ~15% of the time.
-            filter: vec![0; (n_entry * 4).next_power_of_two().max(64)],
             probe_cursor: 0,
         }
     }
 
-    /// Filter bucket of `key`: multiplicative hash, top bits, masked to the
+    /// Index bucket of `key`: multiplicative hash, masked to the
     /// power-of-two bucket count.
     #[inline]
-    fn filter_bucket(&self, key: u32) -> usize {
-        (key.wrapping_mul(0x9E37_79B9) >> 16) as usize & (self.filter.len() - 1)
+    fn bucket_of(&self, key: u32) -> usize {
+        (key.wrapping_mul(0x9E37_79B9) >> 16) as usize & (self.buckets.len() - 1)
     }
 
+    /// The last slot of bucket `b`'s chain below `slot`, or `None` when
+    /// `slot` sits (or belongs) at the head.
     #[inline]
-    fn filter_add(&mut self, key: u32) {
-        let b = self.filter_bucket(key);
-        self.filter[b] += 1;
+    fn chain_pred(&self, b: usize, slot: u32) -> Option<usize> {
+        let mut pred = None;
+        let mut s = self.buckets[b];
+        while s < slot {
+            pred = Some(s as usize);
+            s = self.entries[s as usize].next;
+        }
+        pred
     }
 
-    #[inline]
-    fn filter_remove(&mut self, key: u32) {
-        let b = self.filter_bucket(key);
-        self.filter[b] -= 1;
+    /// Inserts valid slot `i` into its address's chain, keeping the chain
+    /// in ascending slot order.
+    fn link(&mut self, i: usize) {
+        let b = self.bucket_of(self.entries[i].addr);
+        let slot = i as u32;
+        match self.chain_pred(b, slot) {
+            None => {
+                self.entries[i].next = self.buckets[b];
+                self.buckets[b] = slot;
+            }
+            Some(p) => {
+                self.entries[i].next = self.entries[p].next;
+                self.entries[p].next = slot;
+            }
+        }
     }
 
-    #[inline]
-    fn is_valid(&self, i: usize) -> bool {
-        self.valid[i / 64] >> (i % 64) & 1 == 1
+    /// Removes valid slot `i` from its address's chain.
+    fn unlink(&mut self, i: usize) {
+        let b = self.bucket_of(self.entries[i].addr);
+        let next = self.entries[i].next;
+        match self.chain_pred(b, i as u32) {
+            None => self.buckets[b] = next,
+            Some(p) => self.entries[p].next = next,
+        }
     }
 
-    #[inline]
-    fn set_valid(&mut self, i: usize) {
-        self.valid[i / 64] |= 1 << (i % 64);
-    }
-
-    /// Parity (odd number of set bits) of a slot's hardware-visible fields:
-    /// the valid bit, the address field, the count field, and the overflow
-    /// bit. `crossings` is bookkeeping, not stored bits.
-    fn parity_of(&self, i: usize) -> bool {
-        let addr_ones = if self.is_valid(i) { self.keys[i].count_ones() + 1 } else { 0 };
-        let ones = addr_ones + self.low[i].count_ones() + u32::from(self.overflow[i]);
-        ones % 2 == 1
-    }
-
-    /// Address-CAM search: lowest valid slot holding `row`, scanning the
-    /// packed key lane one cache line at a time. The chunk loop reduces 16
-    /// compares into one `hit` flag (vectorizable); only a matching chunk —
-    /// rare on the dominant miss path — pays the exact positional scan and
-    /// the valid-bit confirmation.
+    /// Address-CAM search: lowest valid slot holding `row`. Chains hold only
+    /// valid slots, in ascending order, so the first address match is the
+    /// answer.
     #[inline]
     fn find_slot(&self, row: u32) -> Option<usize> {
-        if self.filter[self.filter_bucket(row)] == 0 {
-            // No valid slot hashes here, so none can hold `row`: the
-            // dominant miss path ends on this one load.
-            return None;
-        }
-        let mut base = 0;
-        for chunk in self.keys.chunks_exact(SCAN_LANES) {
-            let mut hit = false;
-            for &k in chunk {
-                hit |= k == row;
+        let mut s = self.buckets[self.bucket_of(row)];
+        while s != NO_SLOT {
+            let e = &self.entries[s as usize];
+            if e.addr == row {
+                return Some(s as usize);
             }
-            if hit {
-                for (j, &k) in chunk.iter().enumerate() {
-                    if k == row && self.is_valid(base + j) {
-                        return Some(base + j);
-                    }
-                }
-                // Every match in this chunk was a stale key on an invalid
-                // slot; keep scanning.
-            }
-            base += SCAN_LANES;
+            s = e.next;
         }
-        (base..self.keys.len()).find(|&j| self.keys[j] == row && self.is_valid(j))
+        None
     }
 
     /// Count-CAM search: lowest non-overflowed slot (occupied or empty)
@@ -324,10 +338,12 @@ impl CounterTable {
     fn find_count_slot(&mut self) -> Option<usize> {
         if self.spillover == u64::from(OVERFLOW_SENTINEL) {
             // A corrupted spillover can collide with the probe sentinel;
-            // disambiguate with an exact scan of the real lanes (from slot
-            // 0 — the cursor invariant is not maintained for this value).
-            return (0..self.low.len())
-                .find(|&i| !self.overflow[i] && u64::from(self.low[i]) == self.spillover);
+            // disambiguate with an exact scan of the records (from slot 0 —
+            // the cursor invariant is not maintained for this value).
+            return self
+                .entries
+                .iter()
+                .position(|e| !e.overflow && u64::from(e.low) == self.spillover);
         }
         let Ok(target) = u32::try_from(self.spillover) else {
             // Spillover above the 32-bit count lane (only reachable through
@@ -365,7 +381,7 @@ impl CounterTable {
 
     /// Number of entries (fixed at construction).
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.entries.len()
     }
 
     /// Current spillover count.
@@ -386,7 +402,7 @@ impl CounterTable {
     /// Estimated count of `row`, or `None` if untracked.
     pub fn estimate(&self, row: RowId) -> Option<u64> {
         self.find_slot(row.0)
-            .map(|i| self.crossings[i] * self.tracking_threshold + u64::from(self.low[i]))
+            .map(|i| self.crossings[i] * self.tracking_threshold + u64::from(self.entries[i].low))
     }
 
     /// True if `row` currently occupies a table entry.
@@ -398,7 +414,7 @@ impl CounterTable {
     ///
     /// [`capacity`]: Self::capacity
     pub fn occupancy(&self) -> usize {
-        self.valid.iter().map(|w| w.count_ones() as usize).sum()
+        self.occupancy
     }
 
     /// The address stored in `slot`, or `None` when the slot is empty or
@@ -407,15 +423,17 @@ impl CounterTable {
     /// [`parity_violations`](Self::parity_violations) with the (possibly
     /// corrupted) addresses those slots hold.
     pub fn slot_addr(&self, slot: usize) -> Option<RowId> {
-        (slot < self.capacity() && self.is_valid(slot)).then(|| RowId(self.keys[slot]))
+        self.entries.get(slot).filter(|e| e.valid).map(|e| RowId(e.addr))
     }
 
     /// Iterator over occupied entries as `(row, estimated count, overflow)`.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, u64, bool)> + '_ {
         let t = self.tracking_threshold;
-        (0..self.capacity()).filter(|&i| self.is_valid(i)).map(move |i| {
-            (RowId(self.keys[i]), self.crossings[i] * t + u64::from(self.low[i]), self.overflow[i])
-        })
+        self.entries
+            .iter()
+            .zip(&self.crossings)
+            .filter(|(e, _)| e.valid)
+            .map(move |(e, &c)| (RowId(e.addr), c * t + u64::from(e.low), e.overflow))
     }
 
     /// Processes one activation, following Figure 5's pseudo-code exactly,
@@ -436,9 +454,7 @@ impl CounterTable {
         if let Some(i) = hit {
             // Row address HIT (lines 4-6): increment count, one Count-CAM write.
             self.stats.count_writes += 1;
-            let triggered = self.bump(i);
-            self.parity[i] = self.parity_of(i);
-            return TableUpdate::Hit { triggered };
+            return TableUpdate::Hit { triggered: self.bump(i) };
         }
 
         // Row address MISS: one Count-CAM search for spillover match (line 9).
@@ -449,22 +465,21 @@ impl CounterTable {
         // the probe lane's sentinel does the same here.
         if let Some(i) = self.find_count_slot() {
             // Entry replace (lines 10-13): simultaneous addr + count writes.
+            // The slot matched because its count already equals the
+            // spillover, so inheriting it leaves the count field as is;
+            // only the bump below moves it.
             self.stats.addr_writes += 1;
             self.stats.count_writes += 1;
-            let evicted = self.is_valid(i).then(|| RowId(self.keys[i]));
-            if let Some(old) = evicted {
-                self.filter_remove(old.0);
+            let evicted = self.entries[i].valid.then(|| RowId(self.entries[i].addr));
+            if evicted.is_some() {
+                self.unlink(i);
+            } else {
+                self.entries[i].valid = true;
+                self.occupancy += 1;
             }
-            self.keys[i] = row.0;
-            self.set_valid(i);
-            self.filter_add(row.0);
-            // The slot matched because its low already equals the spillover
-            // count, so the count lanes are unchanged by the inheritance
-            // itself; only the bump below moves them. (The match guarantees
-            // the spillover fits the 32-bit lane.)
-            self.low[i] = self.spillover as u32;
+            self.entries[i].addr = row.0;
+            self.link(i);
             let triggered = self.bump(i);
-            self.parity[i] = self.parity_of(i);
             TableUpdate::Replaced { evicted, triggered }
         } else {
             // No replacement (lines 15-16).
@@ -481,47 +496,50 @@ impl CounterTable {
 
     /// Resets the table and the spillover register (end of a reset window).
     pub fn reset(&mut self) {
-        self.keys.fill(0);
-        self.low.fill(0);
+        self.entries.fill(Entry::EMPTY);
         self.probe_low.fill(0);
-        self.valid.fill(0);
-        self.overflow.fill(false);
         self.crossings.fill(0);
-        self.parity.fill(false);
+        self.buckets.fill(NO_SLOT);
+        self.occupancy = 0;
         self.spillover = 0;
         self.acts_since_reset = 0;
         self.spillover_parity = false;
         self.suppress_lookup = false;
-        self.filter.fill(0);
         self.probe_cursor = 0;
     }
 
-    /// Increments entry `i`'s count, wrapping at `T`; returns whether the
-    /// wrap (NRR trigger) occurred. Keeps the probe lane in sync.
+    /// Increments entry `i`'s count, wrapping at `T`, and rewrites its
+    /// parity; returns whether the wrap (NRR trigger) occurred. Keeps the
+    /// probe lane and cursor in sync.
     fn bump(&mut self, i: usize) -> bool {
-        let was_overflowed = self.overflow[i];
+        let mut e = self.entries[i];
         // A corrupted count can sit at the lane's limit; wrapping mirrors
         // what the fixed-width register would do instead of aborting.
-        let new = self.low[i].wrapping_add(1);
-        if new == 0 {
-            // A corrupted count just wrapped the full 32-bit lane — the one
-            // way a bump can *lower* a stored count, breaking the
-            // monotonicity the probe cursor relies on.
-            self.probe_cursor = 0;
-        }
-        self.low[i] = new;
+        let new = e.low.wrapping_add(1);
         let wrapped = u64::from(new) == self.tracking_threshold;
         if wrapped {
-            self.low[i] = 0;
-            self.overflow[i] = true;
+            e.low = 0;
+            e.overflow = true;
             self.crossings[i] += 1;
             // The entry leaves the count search for the rest of the window:
             // overflowed entries never match the spillover probe.
             self.probe_low[i] = OVERFLOW_SENTINEL;
-        } else if !was_overflowed {
-            // Still searchable, one count higher.
-            self.probe_low[i] = new;
+        } else {
+            e.low = new;
+            if !e.overflow {
+                // Still searchable, one count higher.
+                self.probe_low[i] = new;
+                if u64::from(new) == self.spillover && i < self.probe_cursor {
+                    // Only a count below the spillover can be bumped onto
+                    // it — reachable after corruption lowered a count (or a
+                    // full 32-bit wrap), never in fault-free operation. The
+                    // cursor must not skip the new match.
+                    self.probe_cursor = i;
+                }
+            }
         }
+        e.parity = e.parity_of_bits();
+        self.entries[i] = e;
         wrapped
     }
 
@@ -529,10 +547,10 @@ impl CounterTable {
     //
     // The methods below model SRAM soft errors: they mutate stored bits
     // *without* updating the corresponding parity bit, exactly like a cosmic
-    // ray. The probe lane is re-synchronized so subsequent lookups behave
-    // the way the corrupted hardware would, but `crossings` (software-only
-    // bookkeeping) is untouched — corruption changes what the hardware
-    // *believes*, not the verification history.
+    // ray. The probe lane and slot index are re-synchronized so subsequent
+    // lookups behave the way the corrupted hardware would, but `crossings`
+    // (software-only bookkeeping) is untouched — corruption changes what
+    // the hardware *believes*, not the verification history.
 
     /// Flips bit `bit` of the count field of entry `slot` (both reduced
     /// modulo the respective widths). The corrupted count may legally exceed
@@ -543,10 +561,10 @@ impl CounterTable {
         let i = slot % self.capacity();
         // Field width ⌈log₂T⌉ (min 1): flips land inside the real register.
         let width = (64 - (self.tracking_threshold - 1).leading_zeros()).max(1);
-        let mask = 1u32 << (bit % width);
-        self.low[i] ^= mask;
-        if !self.overflow[i] {
-            self.probe_low[i] = self.low[i];
+        let e = &mut self.entries[i];
+        e.low ^= 1u32 << (bit % width);
+        if !e.overflow {
+            self.probe_low[i] = e.low;
         }
         // The flip may have lowered a count below the cursor's watermark.
         self.probe_cursor = 0;
@@ -562,16 +580,14 @@ impl CounterTable {
     /// slot and the corrupted entry stays unreachable by address).
     pub fn corrupt_addr_bit(&mut self, slot: usize, bit: u32) -> bool {
         let i = slot % self.capacity();
-        if !self.is_valid(i) {
+        if !self.entries[i].valid {
             return false;
         }
-        // Move the key between filter buckets so the filter keeps
-        // describing the lane *as stored* — the corrupted address must stay
-        // findable and the original must stop matching, exactly like the
-        // CAM itself.
-        self.filter_remove(self.keys[i]);
-        self.keys[i] ^= 1 << (bit % 32);
-        self.filter_add(self.keys[i]);
+        // Relink under the corrupted key so the index keeps describing the
+        // addresses *as stored*, exactly like the CAM itself.
+        self.unlink(i);
+        self.entries[i].addr ^= 1 << (bit % 32);
+        self.link(i);
         true
     }
 
@@ -589,9 +605,8 @@ impl CounterTable {
     /// Makes the next Address-CAM search report MISS even if the row is
     /// present — a transient compare-line glitch. Unlike the storage flips
     /// this corrupts no bits, so parity cannot see it; it can split one
-    /// row's counts across two slots (the stale entry keeps its address, so
-    /// [`assert_index_consistency`](Self::assert_index_consistency) must not
-    /// be used after an injected miss inserts a duplicate).
+    /// row's counts across two slots, after which lookups answer with the
+    /// lower slot.
     pub fn suppress_next_lookup(&mut self) {
         self.suppress_lookup = true;
     }
@@ -600,13 +615,15 @@ impl CounterTable {
     /// matches its data — i.e. no *detectable* corruption is present.
     pub fn parity_clean(&self) -> bool {
         self.spillover_parity == (self.spillover.count_ones() % 2 == 1)
-            && (0..self.capacity()).all(|i| self.parity[i] == self.parity_of(i))
+            && self.entries.iter().all(|e| e.parity == e.parity_of_bits())
     }
 
     /// Slots whose parity bit disagrees with their stored data, plus `true`
     /// in the second position if the spillover register is corrupted.
     pub fn parity_violations(&self) -> (Vec<usize>, bool) {
-        let slots = (0..self.capacity()).filter(|&i| self.parity[i] != self.parity_of(i)).collect();
+        let slots = (0..self.capacity())
+            .filter(|&i| self.entries[i].parity != self.entries[i].parity_of_bits())
+            .collect();
         let spill = self.spillover_parity != (self.spillover.count_ones() % 2 == 1);
         (slots, spill)
     }
@@ -617,18 +634,22 @@ impl CounterTable {
     /// [`restore`](Self::restore) can later replay into a freshly built
     /// table of the same shape.
     ///
-    /// Derived acceleration state (probe lane, presence filter, probe
-    /// cursor, parity bits) is *not* captured: it is a pure function of the
-    /// primary lanes and is rebuilt on restore. Consequently a snapshot
-    /// taken while injected corruption left parity bits stale restores as
-    /// parity-clean — checkpointing is only meaningful for fault-free runs,
-    /// and the controller layer refuses to snapshot fault-armed systems.
+    /// Derived acceleration state (probe lane, slot index, probe cursor,
+    /// parity bits) is *not* captured: it is a pure function of the primary
+    /// lanes and is rebuilt on restore. Consequently a snapshot taken while
+    /// injected corruption left parity bits stale restores as parity-clean
+    /// — checkpointing is only meaningful for fault-free runs, and the
+    /// controller layer refuses to snapshot fault-armed systems.
     pub fn snapshot(&self) -> TableSnapshot {
+        let mut valid = vec![0u64; self.capacity().div_ceil(64)];
+        for (i, e) in self.entries.iter().enumerate() {
+            valid[i / 64] |= u64::from(e.valid) << (i % 64);
+        }
         TableSnapshot {
-            keys: self.keys.clone(),
-            low: self.low.clone(),
-            valid: self.valid.clone(),
-            overflow: self.overflow.clone(),
+            keys: self.entries.iter().map(|e| e.addr).collect(),
+            low: self.entries.iter().map(|e| e.low).collect(),
+            valid,
+            overflow: self.entries.iter().map(|e| e.overflow).collect(),
             crossings: self.crossings.clone(),
             spillover: self.spillover,
             acts_since_reset: self.acts_since_reset,
@@ -642,10 +663,10 @@ impl CounterTable {
     /// snapshot stores counts modulo `T`, so the caller pins `T` via its
     /// own configuration).
     ///
-    /// The derived lanes are rebuilt from the primary ones: probe lane from
-    /// (low, overflow), parity from the restored bits, presence filter from
-    /// the valid keys. The probe cursor rewinds to slot 0 — acceleration
-    /// state only, so the restored table is *behaviorally* identical to the
+    /// The derived state is rebuilt from the primary lanes: probe lane from
+    /// (low, overflow), parity from the restored bits, slot index from the
+    /// valid keys. The probe cursor rewinds to slot 0 — acceleration state
+    /// only, so the restored table is *behaviorally* identical to the
     /// snapshotted one even though the cursor position differs.
     ///
     /// # Errors
@@ -675,53 +696,71 @@ impl CounterTable {
         if !n.is_multiple_of(64) && snap.valid[snap.valid.len() - 1] >> (n % 64) != 0 {
             return Err(format!("snapshot marks valid bits beyond entry {}", n - 1));
         }
-        self.keys.copy_from_slice(&snap.keys);
-        self.low.copy_from_slice(&snap.low);
-        self.valid.copy_from_slice(&snap.valid);
-        self.overflow.copy_from_slice(&snap.overflow);
+        self.buckets.fill(NO_SLOT);
+        self.occupancy = 0;
+        // Descending order: each valid slot links in at its chain's head,
+        // which keeps every chain ascending without walking it.
+        for i in (0..n).rev() {
+            let mut e = Entry {
+                addr: snap.keys[i],
+                low: snap.low[i],
+                next: NO_SLOT,
+                valid: snap.valid[i / 64] >> (i % 64) & 1 == 1,
+                overflow: snap.overflow[i],
+                parity: false,
+            };
+            e.parity = e.parity_of_bits();
+            self.entries[i] = e;
+            self.probe_low[i] = if e.overflow { OVERFLOW_SENTINEL } else { e.low };
+            if e.valid {
+                self.occupancy += 1;
+                self.link(i);
+            }
+        }
         self.crossings.copy_from_slice(&snap.crossings);
         self.spillover = snap.spillover;
         self.acts_since_reset = snap.acts_since_reset;
         self.stats = snap.stats;
-        // Rebuild every derived lane from the restored primaries.
-        for i in 0..n {
-            self.probe_low[i] = if self.overflow[i] { OVERFLOW_SENTINEL } else { self.low[i] };
-        }
-        for i in 0..n {
-            self.parity[i] = self.parity_of(i);
-        }
         self.spillover_parity = self.spillover.count_ones() % 2 == 1;
-        self.filter.fill(0);
-        for i in 0..n {
-            if self.is_valid(i) {
-                self.filter_add(self.keys[i]);
-            }
-        }
         self.probe_cursor = 0;
         self.suppress_lookup = false;
         Ok(())
     }
 
-    /// Exhaustively checks the derived lanes against the primary ones: the
-    /// probe lane must mirror (low, overflow), no row may occupy two valid
-    /// slots, the presence filter must be the exact bucket histogram of the
-    /// valid keys, and no probe-lane match for the current spillover may
-    /// hide below the cursor. Test support — O(N), never called on the hot
-    /// path.
+    /// Exhaustively checks the derived state against the primary bits: the
+    /// probe lane must mirror (low, overflow); every bucket chain must hold
+    /// exactly the valid slots whose address hashes there, in ascending
+    /// order; the occupancy count must match the valid bits; and no
+    /// probe-lane match for the current spillover may hide below the
+    /// cursor. Test support — O(N), never called on the hot path.
     #[doc(hidden)]
     pub fn assert_index_consistency(&self) {
-        let mut seen = HashMap::new();
-        let mut expected_filter = vec![0u16; self.filter.len()];
-        for i in 0..self.capacity() {
-            if self.is_valid(i) {
-                let row = self.keys[i];
-                assert!(seen.insert(row, i).is_none(), "row {row} occupies two slots");
-                expected_filter[self.filter_bucket(row)] += 1;
+        let mut chained = vec![false; self.capacity()];
+        for (b, &head) in self.buckets.iter().enumerate() {
+            let mut prev = None;
+            let mut s = head;
+            while s != NO_SLOT {
+                let i = s as usize;
+                let e = &self.entries[i];
+                assert!(e.valid, "invalid slot {i} is chained in bucket {b}");
+                assert_eq!(self.bucket_of(e.addr), b, "slot {i} chained in the wrong bucket");
+                assert!(prev.is_none_or(|p| p < i), "bucket {b} chain not ascending at slot {i}");
+                assert!(!chained[i], "slot {i} chained twice");
+                chained[i] = true;
+                prev = Some(i);
+                s = e.next;
             }
-            let expected = if self.overflow[i] { OVERFLOW_SENTINEL } else { self.low[i] };
+        }
+        for (i, e) in self.entries.iter().enumerate() {
+            assert_eq!(chained[i], e.valid, "slot {i}: valid bit and index disagree");
+            let expected = if e.overflow { OVERFLOW_SENTINEL } else { e.low };
             assert_eq!(self.probe_low[i], expected, "probe lane out of sync at slot {i}");
         }
-        assert_eq!(self.filter, expected_filter, "presence filter out of sync with key lane");
+        assert_eq!(
+            self.occupancy,
+            self.entries.iter().filter(|e| e.valid).count(),
+            "occupancy count out of sync"
+        );
         if let Ok(target) = u32::try_from(self.spillover) {
             if target != OVERFLOW_SENTINEL {
                 for i in 0..self.probe_cursor.min(self.probe_low.len()) {
@@ -814,8 +853,8 @@ mod tests {
         let mut t = CounterTable::new(2, 7);
         for i in 0..1000u64 {
             t.process_activation(RowId((i % 3) as u32));
-            for &low in &t.low {
-                assert!(low < 7);
+            for e in &t.entries {
+                assert!(e.low < 7);
             }
         }
     }
@@ -948,8 +987,7 @@ mod tests {
 
     #[test]
     fn stale_key_on_invalidated_slot_never_matches() {
-        // Reset clears the valid bits but the key lane keeps stale bytes;
-        // the scan must confirm validity before reporting a hit.
+        // Reset unchains every slot; a stale address must not answer.
         let mut t = CounterTable::new(2, 100);
         t.process_activation(RowId(7));
         t.reset();
@@ -962,8 +1000,9 @@ mod tests {
 
     #[test]
     fn scan_covers_the_chunk_remainder() {
-        // Capacity above one scan chunk with a non-multiple remainder: rows
-        // landing in the tail slots must still hit and stay searchable.
+        // Capacity above one probe-lane chunk with a non-multiple remainder:
+        // the count search must reach the tail slots, and rows landing there
+        // must still hit.
         let n = SCAN_LANES + 5;
         let mut t = CounterTable::new(n, 1_000);
         for r in 0..n as u32 {
@@ -1058,6 +1097,35 @@ mod tests {
         // priority encoder.
         assert_eq!(t.process_activation(RowId(5)), TableUpdate::Hit { triggered: false });
         assert_eq!(t.estimate(RowId(5)), Some(4));
+        t.assert_index_consistency();
+    }
+
+    #[test]
+    fn cursor_follows_a_corrupted_count_bumped_onto_the_spillover() {
+        // Corruption leaves slot 0's count below the spillover while the
+        // cursor has moved past it; a later hit bumps it onto the spillover,
+        // and the next miss must replace it, as the linear scan does.
+        use crate::reference::LinearCounterTable;
+        let mut t = CounterTable::new(2, 6);
+        let mut linear = LinearCounterTable::new(2, 6);
+        for &row in &[3, 7, 3] {
+            assert_eq!(t.process_activation(RowId(row)), linear.process_activation(RowId(row)));
+        }
+        t.corrupt_spillover_bit(2); // spillover 0 → 4
+        linear.corrupt_spillover_bit(2);
+        t.corrupt_count_bit(0, 1); // row 3: count 2 → 0
+        linear.corrupt_count_bit(0, 1);
+        assert_eq!(t.process_activation(RowId(5)), linear.process_activation(RowId(5)));
+        t.corrupt_spillover_bit(2); // spillover 5 → 1
+        linear.corrupt_spillover_bit(2);
+        // Replaces row 7 in slot 1; the cursor now sits at slot 1.
+        assert_eq!(t.process_activation(RowId(5)), linear.process_activation(RowId(5)));
+        // Row 3's count goes 0 → 1 == spillover, below the cursor.
+        assert_eq!(t.process_activation(RowId(3)), linear.process_activation(RowId(3)));
+        t.assert_index_consistency();
+        let expected = TableUpdate::Replaced { evicted: Some(RowId(3)), triggered: false };
+        assert_eq!(linear.process_activation(RowId(2)), expected);
+        assert_eq!(t.process_activation(RowId(2)), expected);
     }
 
     #[test]

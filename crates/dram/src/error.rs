@@ -17,6 +17,12 @@ pub enum DramError {
         /// Human-readable explanation.
         reason: String,
     },
+    /// A Row Hammer fault model (threshold or distance coefficients) failed
+    /// validation.
+    InvalidFaultModel {
+        /// Human-readable explanation.
+        reason: String,
+    },
     /// A command referenced a row outside the bank.
     RowOutOfRange {
         /// The offending row.
@@ -38,6 +44,7 @@ impl fmt::Display for DramError {
         match self {
             DramError::InvalidTiming { reason } => write!(f, "invalid DRAM timing: {reason}"),
             DramError::InvalidGeometry { reason } => write!(f, "invalid DRAM geometry: {reason}"),
+            DramError::InvalidFaultModel { reason } => write!(f, "invalid fault model: {reason}"),
             DramError::RowOutOfRange { row, rows_per_bank } => {
                 write!(f, "row {row} out of range for bank with {rows_per_bank} rows")
             }

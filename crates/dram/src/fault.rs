@@ -15,7 +15,11 @@
 //! whose factor `1 + μ_2 + … + μ_n` is bounded by π²/6 ≈ 1.64).
 //!
 //! Internally the oracle uses 1/65536 fixed-point arithmetic so that
-//! accumulation is exact and deterministic across platforms.
+//! accumulation is exact and deterministic across platforms. Each row's
+//! state is one `u64` word: the accumulated disturbance in the low 63 bits
+//! and the flipped flag in bit 63, so an ACT reads and writes one array.
+//! The disturbance keeps counting after a flip; [`DisturbanceModel::validate`]
+//! bounds `T_RH` so the flip threshold stays clear of the flag bit.
 
 use crate::error::DramError;
 use crate::geometry::RowId;
@@ -23,6 +27,17 @@ use crate::timing::Picoseconds;
 
 /// Fixed-point scale for disturbance units (2^16 sub-units per adjacent ACT).
 const SCALE: u64 = 1 << 16;
+
+/// Flag bit of a row word: the row is in a flipped state.
+const FLIPPED: u64 = 1 << 63;
+
+/// Disturbance bits of a row word.
+const DISTURBANCE: u64 = FLIPPED - 1;
+
+/// Exclusive upper bound on `T_RH`: `T_RH · 2^16` must stay below the flag
+/// bit, with room above it for disturbance that keeps accruing after a
+/// flip.
+const MAX_T_RH: u64 = 1 << 47;
 
 /// Distance-coefficient model for non-adjacent Row Hammer.
 ///
@@ -84,28 +99,28 @@ impl MuModel {
     ///
     /// # Errors
     ///
-    /// Returns [`DramError::InvalidGeometry`] describing the violation.
+    /// Returns [`DramError::InvalidFaultModel`] describing the violation.
     pub fn validate(&self) -> Result<(), DramError> {
         if self.radius() == 0 {
-            return Err(DramError::InvalidGeometry {
+            return Err(DramError::InvalidFaultModel {
                 reason: "mu model radius must be at least 1".to_owned(),
             });
         }
         if let MuModel::Custom(v) = self {
             if (v[0] - 1.0).abs() > f64::EPSILON {
-                return Err(DramError::InvalidGeometry {
+                return Err(DramError::InvalidFaultModel {
                     reason: "custom mu model must have mu_1 = 1.0".to_owned(),
                 });
             }
             for w in v.windows(2) {
                 if w[1] > w[0] {
-                    return Err(DramError::InvalidGeometry {
+                    return Err(DramError::InvalidFaultModel {
                         reason: "custom mu coefficients must be non-increasing".to_owned(),
                     });
                 }
             }
             if v.iter().any(|&m| m <= 0.0 || m > 1.0) {
-                return Err(DramError::InvalidGeometry {
+                return Err(DramError::InvalidFaultModel {
                     reason: "custom mu coefficients must be in (0, 1]".to_owned(),
                 });
             }
@@ -136,6 +151,22 @@ impl DisturbanceModel {
     /// Same threshold with a non-adjacent `μ_i = 1/i²` model of given radius.
     pub fn ddr4_50k_nonadjacent(radius: u32) -> Self {
         DisturbanceModel { t_rh: 50_000, mu: MuModel::InverseSquare { radius } }
+    }
+
+    /// Validates the model: `1 ≤ t_rh < 2^47` (so the fixed-point flip
+    /// threshold neither vanishes nor reaches the oracle's flag bit) and a
+    /// valid [`MuModel`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DramError::InvalidFaultModel`] describing the violation.
+    pub fn validate(&self) -> Result<(), DramError> {
+        if self.t_rh == 0 || self.t_rh >= MAX_T_RH {
+            return Err(DramError::InvalidFaultModel {
+                reason: format!("t_rh must be in 1..2^47, got {}", self.t_rh),
+            });
+        }
+        self.mu.validate()
     }
 }
 
@@ -182,10 +213,10 @@ pub struct BitFlip {
 pub struct FaultOracle {
     model: DisturbanceModel,
     rows_per_bank: u32,
-    /// Fixed-point accumulated disturbance since last refresh, per row.
-    disturbance: Vec<u64>,
-    /// Whether the row is currently in a flipped state.
-    flipped: Vec<bool>,
+    /// One word per row: fixed-point disturbance accumulated since the last
+    /// refresh in the [`DISTURBANCE`] bits, [`FLIPPED`] while the row is in
+    /// a flipped state.
+    rows: Vec<u64>,
     /// Pre-scaled μ coefficients for distances 1..=radius.
     mu_fixed: Vec<u64>,
     /// Fixed-point flip threshold.
@@ -200,16 +231,16 @@ impl FaultOracle {
     ///
     /// # Panics
     ///
-    /// Panics if the model fails [`MuModel::validate`] or `t_rh == 0`.
+    /// Panics if the model fails [`DisturbanceModel::validate`].
     pub fn new(model: DisturbanceModel, rows_per_bank: u32) -> Self {
-        model.mu.validate().expect("invalid mu model");
-        assert!(model.t_rh > 0, "t_rh must be positive");
+        if let Err(e) = model.validate() {
+            panic!("{e}");
+        }
         let mu_fixed = model.mu.fixed_coefficients();
         let threshold_fixed = model.t_rh * SCALE;
         FaultOracle {
             rows_per_bank,
-            disturbance: vec![0; rows_per_bank as usize],
-            flipped: vec![false; rows_per_bank as usize],
+            rows: vec![0; rows_per_bank as usize],
             mu_fixed,
             threshold_fixed,
             flips: Vec::new(),
@@ -241,18 +272,22 @@ impl FaultOracle {
         for (i, &mu) in self.mu_fixed.iter().enumerate() {
             let d = (i + 1) as u32;
             for victim in row.neighbors_at(d, self.rows_per_bank) {
-                let idx = victim.0 as usize;
-                self.disturbance[idx] = self.disturbance[idx].saturating_add(mu);
-                if !self.flipped[idx] && self.disturbance[idx] >= self.threshold_fixed {
-                    self.flipped[idx] = true;
+                let word = &mut self.rows[victim.0 as usize];
+                let disturbance = ((*word & DISTURBANCE) + mu).min(DISTURBANCE);
+                let mut flipped = *word & FLIPPED;
+                // Threshold first: it is below the flag bit, so a row under
+                // it fails this one compare whatever its flag.
+                if disturbance >= self.threshold_fixed && flipped == 0 {
+                    flipped = FLIPPED;
                     let flip = BitFlip {
                         row: victim,
                         at,
-                        disturbance_acts: self.disturbance[idx] as f64 / SCALE as f64,
+                        disturbance_acts: disturbance as f64 / SCALE as f64,
                     };
                     self.flips.push(flip);
                     new_flips.push(flip);
                 }
+                *word = disturbance | flipped;
             }
         }
         new_flips
@@ -265,9 +300,7 @@ impl FaultOracle {
     /// Panics if `row` is outside the bank.
     pub fn refresh_row(&mut self, row: RowId) {
         assert!(row.0 < self.rows_per_bank, "{row} outside bank");
-        let idx = row.0 as usize;
-        self.disturbance[idx] = 0;
-        self.flipped[idx] = false;
+        self.rows[row.0 as usize] = 0;
     }
 
     /// Refreshes a contiguous range of rows (as an auto-refresh burst does).
@@ -279,7 +312,7 @@ impl FaultOracle {
 
     /// Current accumulated disturbance of `row`, in adjacent-ACT units.
     pub fn disturbance_of(&self, row: RowId) -> f64 {
-        self.disturbance[row.0 as usize] as f64 / SCALE as f64
+        (self.rows[row.0 as usize] & DISTURBANCE) as f64 / SCALE as f64
     }
 
     /// All bit flips observed since construction (including ones whose rows
@@ -317,11 +350,12 @@ impl FaultOracle {
     /// The row with the highest accumulated disturbance and that value in
     /// adjacent-ACT units — useful for asserting safety margins in tests.
     pub fn hottest_victim(&self) -> (RowId, f64) {
-        let (idx, &v) = self
-            .disturbance
+        let (idx, v) = self
+            .rows
             .iter()
+            .map(|&w| w & DISTURBANCE)
             .enumerate()
-            .max_by_key(|&(_, &v)| v)
+            .max_by_key(|&(_, v)| v)
             .expect("bank has at least one row");
         (RowId(idx as u32), v as f64 / SCALE as f64)
     }

@@ -14,41 +14,69 @@ proptest! {
 
     /// Disturbance accounting is exact: after any ACT/refresh interleaving,
     /// a row's accumulated disturbance equals the μ-weighted count of
-    /// disturbing ACTs since its last refresh.
+    /// disturbing ACTs since its last refresh. At low thresholds rows flip
+    /// along the way: the count must keep growing past the flip, each flip
+    /// must be reported exactly once until a refresh re-arms the row, and
+    /// the flipped state must never leak into `max_disturbance` or
+    /// `hottest_victim`.
     #[test]
     fn disturbance_matches_shadow_accounting(
         ops in prop::collection::vec((0u32..ROWS, prop::bool::ANY), 1..500),
         radius in 1u32..4,
+        low_threshold in prop::bool::ANY,
+        small_t_rh in 1u64..12,
+        span in 8u32..ROWS,
     ) {
         let mu = MuModel::InverseSquare { radius };
-        let model = DisturbanceModel { t_rh: 1_000_000, mu: mu.clone() };
+        // Low thresholds also crowd the ops onto `span` rows, so rows cross
+        // T_RH, keep accumulating, and get refreshed and re-armed.
+        let (t_rh, span) = if low_threshold { (small_t_rh, span) } else { (1_000_000, ROWS) };
+        let model = DisturbanceModel { t_rh, mu: mu.clone() };
         let mut oracle = FaultOracle::new(model, ROWS);
-        let mut shadow = vec![0.0f64; ROWS as usize];
+        // Shadow state in the oracle's 2^-16 sub-units, so threshold
+        // crossings compare exactly.
+        let scale = 65_536.0;
+        let threshold = t_rh * 65_536;
+        let mut shadow = vec![0u64; ROWS as usize];
+        let mut flipped = vec![false; ROWS as usize];
+        let mut reported = 0usize;
         for (i, &(row, is_refresh)) in ops.iter().enumerate() {
+            let row = row % span;
             if is_refresh {
                 oracle.refresh_row(RowId(row));
-                shadow[row as usize] = 0.0;
-            } else {
-                oracle.activate(RowId(row), i as u64);
-                for d in 1..=radius {
-                    let c = mu.coefficient(d);
-                    if row >= d {
-                        shadow[(row - d) as usize] += c;
-                    }
-                    if row + d < ROWS {
-                        shadow[(row + d) as usize] += c;
+                shadow[row as usize] = 0;
+                flipped[row as usize] = false;
+                continue;
+            }
+            let mut got: Vec<u32> = oracle.activate(RowId(row), i as u64).iter().map(|f| f.row.0).collect();
+            let mut expected = Vec::new();
+            for d in 1..=radius {
+                let c = (mu.coefficient(d) * scale).round() as u64;
+                for victim in [row.checked_sub(d), Some(row + d).filter(|&v| v < ROWS)].into_iter().flatten() {
+                    let v = victim as usize;
+                    shadow[v] += c;
+                    if shadow[v] >= threshold && !flipped[v] {
+                        flipped[v] = true;
+                        expected.push(victim);
                     }
                 }
             }
+            got.sort_unstable();
+            expected.sort_unstable();
+            prop_assert_eq!(got, expected, "new flips at op {}", i);
+            reported += expected.len();
         }
+        prop_assert_eq!(oracle.flips().len(), reported);
         for r in 0..ROWS {
             let got = oracle.disturbance_of(RowId(r));
-            prop_assert!(
-                (got - shadow[r as usize]).abs() < 1e-3,
-                "row {r}: oracle {got} vs shadow {}",
-                shadow[r as usize]
-            );
+            let want = shadow[r as usize] as f64 / scale;
+            prop_assert!(got == want, "row {r}: oracle {got} vs shadow {want}");
         }
+        let max = *shadow.iter().max().expect("bank has rows") as f64 / scale;
+        prop_assert_eq!(oracle.max_disturbance(), max);
+        let (hottest, value) = oracle.hottest_victim();
+        prop_assert_eq!(value, max);
+        prop_assert_eq!(shadow[hottest.0 as usize] as f64 / scale, max);
     }
 
     /// A flip occurs if and only if some row's μ-weighted disturbance since

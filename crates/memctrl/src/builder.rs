@@ -260,8 +260,8 @@ impl<'a> McBuilder<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`McBuildError::InvalidConfig`] when the geometry or timing
-    /// half of the [`McConfig`] fails validation.
+    /// Returns [`McBuildError::InvalidConfig`] when the geometry, timing or
+    /// fault model of the [`McConfig`] fails validation.
     pub fn try_build(self) -> Result<MemoryController, McBuildError> {
         let McBuilder { config, mut source, audit, command_log, telemetry, faults, .. } = self;
         let rows = config.geometry.rows_per_bank;
@@ -300,8 +300,8 @@ impl<'a> McBuilder<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`McBuildError::InvalidConfig`] when the geometry or timing
-    /// fails validation.
+    /// Returns [`McBuildError::InvalidConfig`] when the geometry, timing or
+    /// fault model fails validation.
     ///
     /// # Panics
     ///
@@ -333,6 +333,9 @@ impl<'a> McBuilder<'a> {
         // loop runs zero times) and yield a silently inert controller.
         config.geometry.validate().map_err(McBuildError::InvalidConfig)?;
         config.timing.validate().map_err(McBuildError::InvalidConfig)?;
+        if let Some(model) = &config.fault_model {
+            model.validate().map_err(McBuildError::InvalidConfig)?;
+        }
         let geometry = config.geometry;
         let rows = geometry.rows_per_bank;
         let per_channel = geometry.banks_per_channel() as usize;
@@ -589,6 +592,31 @@ mod tests {
         let err = McBuilder::new(bad_geometry.clone()).try_build_system().unwrap_err();
         assert!(err.to_string().contains("geometry"), "{err}");
         assert_eq!(err.clone(), err, "build errors compare and clone");
+    }
+
+    #[test]
+    fn try_build_reports_invalid_fault_model() {
+        use dram_model::fault::{DisturbanceModel, MuModel};
+        let bad_models = [
+            DisturbanceModel { t_rh: 0, ..DisturbanceModel::ddr4_50k() },
+            // t_rh · 2^16 would wrap to 0 in a release build.
+            DisturbanceModel { t_rh: 1 << 48, ..DisturbanceModel::ddr4_50k() },
+            DisturbanceModel { t_rh: 1 << 47, ..DisturbanceModel::ddr4_50k() },
+            DisturbanceModel { t_rh: 1_000, mu: MuModel::Custom(vec![0.5]) },
+            DisturbanceModel { t_rh: 1_000, mu: MuModel::Uniform { radius: 0 } },
+        ];
+        for model in bad_models {
+            let mut config = McConfig::micro2020_no_oracle();
+            config.fault_model = Some(model.clone());
+            let err = McBuilder::new(config.clone()).try_build().unwrap_err();
+            assert!(err.to_string().contains("fault model"), "{model:?}: {err}");
+            let err = McBuilder::new(config).try_build_system().unwrap_err();
+            assert!(err.to_string().contains("fault model"), "{model:?}: {err}");
+        }
+        let mut largest = McConfig::micro2020_no_oracle();
+        largest.fault_model =
+            Some(DisturbanceModel { t_rh: (1 << 47) - 1, ..DisturbanceModel::ddr4_50k() });
+        assert!(McBuilder::new(largest).try_build().is_ok());
     }
 
     #[test]

@@ -217,6 +217,9 @@ impl MemoryController {
     ) -> Result<Self, McBuildError> {
         config.geometry.validate().map_err(McBuildError::InvalidConfig)?;
         config.timing.validate().map_err(McBuildError::InvalidConfig)?;
+        if let Some(model) = &config.fault_model {
+            model.validate().map_err(McBuildError::InvalidConfig)?;
+        }
         let n_banks = config.geometry.total_banks() as usize;
         let banks = vec![BankState::new(config.timing, config.page_policy); n_banks];
         let defenses: Vec<_> =
