@@ -29,7 +29,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use telemetry::json::{self, JsonValue};
+use telemetry::json::{self, int_field, obj, u64_field, JsonValue};
 
 /// Schema tag of the JSONL rendering.
 pub const IO_SCHEMA: &str = "ioplan.v1";
@@ -261,9 +261,6 @@ impl IoFaultPlan {
     /// Renders the plan as JSONL: a spec header line followed by one line
     /// per event, in schedule order.
     pub fn to_jsonl(&self) -> String {
-        let obj = |fields: Vec<(&str, JsonValue)>| {
-            JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-        };
         let mut out = String::new();
         out.push_str(
             &obj(vec![
@@ -312,11 +309,6 @@ impl IoFaultPlan {
     /// Returns a description of the first malformed line (bad JSON, wrong
     /// schema tag, unknown fault kind, or missing field).
     pub fn parse_jsonl(input: &str) -> Result<Self, String> {
-        let u64_field = |v: &JsonValue, key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-        };
         let mut lines = input.lines().filter(|l| !l.trim().is_empty());
         let header = lines.next().ok_or_else(|| "empty I/O fault plan document".to_owned())?;
         let h = json::parse(header).map_err(|e| format!("header: {e}"))?;
@@ -327,23 +319,20 @@ impl IoFaultPlan {
         let spec = IoFaultSpec {
             seed: u64_field(&h, "seed")?,
             ops: u64_field(&h, "ops")?,
-            max_byte: u64_field(&h, "max_byte")? as u32,
-            torn_writes: u64_field(&h, "torn_writes")? as u32,
-            bit_rots: u64_field(&h, "bit_rots")? as u32,
-            fsync_fails: u64_field(&h, "fsync_fails")? as u32,
-            reader_stalls: u64_field(&h, "reader_stalls")? as u32,
+            max_byte: int_field(&h, "max_byte")?,
+            torn_writes: int_field(&h, "torn_writes")?,
+            bit_rots: int_field(&h, "bit_rots")?,
+            fsync_fails: int_field(&h, "fsync_fails")?,
+            reader_stalls: int_field(&h, "reader_stalls")?,
         };
         let mut events = Vec::new();
         for (i, line) in lines.enumerate() {
             let v = json::parse(line).map_err(|e| format!("event line {}: {e}", i + 1))?;
             let kind = match v.get("kind").and_then(JsonValue::as_str).unwrap_or_default() {
-                "torn_write" => {
-                    IoFaultKind::TornWrite { at_byte: u64_field(&v, "at_byte")? as u32 }
+                "torn_write" => IoFaultKind::TornWrite { at_byte: int_field(&v, "at_byte")? },
+                "bit_rot" => {
+                    IoFaultKind::BitRot { byte: int_field(&v, "byte")?, bit: int_field(&v, "bit")? }
                 }
-                "bit_rot" => IoFaultKind::BitRot {
-                    byte: u64_field(&v, "byte")? as u32,
-                    bit: u64_field(&v, "bit")? as u8,
-                },
                 "fsync_fail" => IoFaultKind::FsyncFail,
                 "reader_stall" => IoFaultKind::ReaderStall { millis: u64_field(&v, "millis")? },
                 other => return Err(format!("unknown I/O fault kind `{other}`")),
@@ -416,5 +405,12 @@ mod tests {
         let plan = IoFaultPlan::generate(&IoFaultSpec::new(1));
         let doc = format!("{}{}", plan.to_jsonl(), "{\"seq\":0,\"at_op\":1,\"kind\":\"melt\"}\n");
         assert!(IoFaultPlan::parse_jsonl(&doc).unwrap_err().contains("unknown"));
+        // Bit 256 would wrap to bit 0 under an unchecked `as u8`.
+        let doc = format!(
+            "{}{}",
+            plan.to_jsonl(),
+            "{\"seq\":0,\"at_op\":1,\"kind\":\"bit_rot\",\"byte\":3,\"bit\":256}\n"
+        );
+        assert_eq!(IoFaultPlan::parse_jsonl(&doc).unwrap_err(), "field `bit` is out of range: 256");
     }
 }

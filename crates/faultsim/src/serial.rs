@@ -6,7 +6,7 @@
 //! line is one [`FaultEvent`]. Round-tripping reproduces the plan exactly:
 //! `parse_jsonl(plan.to_jsonl()) == plan`.
 
-use telemetry::json::{self, JsonValue};
+use telemetry::json::{self, int_field, obj, u64_field, JsonValue};
 
 use crate::plan::{
     ControllerFault, FaultEvent, FaultKind, FaultPlan, FaultSpec, HarnessFault, TrackerFault,
@@ -14,16 +14,6 @@ use crate::plan::{
 
 /// Schema tag written into (and required in) the header line.
 pub const SCHEMA: &str = "faultplan.v1";
-
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
-fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-}
 
 fn spec_to_json(spec: &FaultSpec) -> JsonValue {
     obj(vec![
@@ -54,19 +44,19 @@ fn spec_from_json(v: &JsonValue) -> Result<FaultSpec, String> {
     Ok(FaultSpec {
         seed: u64_field(v, "seed")?,
         accesses: u64_field(v, "accesses")?,
-        banks: u64_field(v, "banks")? as u16,
-        tracker_slots: u64_field(v, "tracker_slots")? as u32,
-        count_bits: u64_field(v, "count_bits")? as u32,
-        addr_bits: u64_field(v, "addr_bits")? as u32,
-        spillover_bits: u64_field(v, "spillover_bits")? as u32,
-        bit_flips: u64_field(v, "bit_flips")? as u32,
-        lookup_misses: u64_field(v, "lookup_misses")? as u32,
-        nrr_drops: u64_field(v, "nrr_drops")? as u32,
-        nrr_defers: u64_field(v, "nrr_defers")? as u32,
-        refresh_postpones: u64_field(v, "refresh_postpones")? as u32,
-        duplicates: u64_field(v, "duplicates")? as u32,
-        sink_failures: u64_field(v, "sink_failures")? as u32,
-        worker_stalls: u64_field(v, "worker_stalls")? as u32,
+        banks: int_field(v, "banks")?,
+        tracker_slots: int_field(v, "tracker_slots")?,
+        count_bits: int_field(v, "count_bits")?,
+        addr_bits: int_field(v, "addr_bits")?,
+        spillover_bits: int_field(v, "spillover_bits")?,
+        bit_flips: int_field(v, "bit_flips")?,
+        lookup_misses: int_field(v, "lookup_misses")?,
+        nrr_drops: int_field(v, "nrr_drops")?,
+        nrr_defers: int_field(v, "nrr_defers")?,
+        refresh_postpones: int_field(v, "refresh_postpones")?,
+        duplicates: int_field(v, "duplicates")?,
+        sink_failures: int_field(v, "sink_failures")?,
+        worker_stalls: int_field(v, "worker_stalls")?,
     })
 }
 
@@ -127,17 +117,15 @@ fn kind_from_json(v: &JsonValue) -> Result<FaultKind, String> {
     let kind = v.get("kind").and_then(JsonValue::as_str).unwrap_or_default();
     match (layer, kind) {
         ("tracker", "count_bit_flip") => Ok(FaultKind::Tracker(TrackerFault::CountBitFlip {
-            slot: u64_field(v, "slot")? as u32,
-            bit: u64_field(v, "bit")? as u32,
+            slot: int_field(v, "slot")?,
+            bit: int_field(v, "bit")?,
         })),
         ("tracker", "addr_bit_flip") => Ok(FaultKind::Tracker(TrackerFault::AddrBitFlip {
-            slot: u64_field(v, "slot")? as u32,
-            bit: u64_field(v, "bit")? as u32,
+            slot: int_field(v, "slot")?,
+            bit: int_field(v, "bit")?,
         })),
         ("tracker", "spillover_bit_flip") => {
-            Ok(FaultKind::Tracker(TrackerFault::SpilloverBitFlip {
-                bit: u64_field(v, "bit")? as u32,
-            }))
+            Ok(FaultKind::Tracker(TrackerFault::SpilloverBitFlip { bit: int_field(v, "bit")? }))
         }
         ("tracker", "lookup_miss") => Ok(FaultKind::Tracker(TrackerFault::LookupMiss)),
         ("controller", "drop_nrr") => Ok(FaultKind::Controller(ControllerFault::DropNrr)),
@@ -146,15 +134,15 @@ fn kind_from_json(v: &JsonValue) -> Result<FaultKind, String> {
         })),
         ("controller", "postpone_refresh") => {
             Ok(FaultKind::Controller(ControllerFault::PostponeRefresh {
-                refis: u64_field(v, "refis")? as u32,
+                refis: int_field(v, "refis")?,
             }))
         }
         ("controller", "duplicate_command") => {
             Ok(FaultKind::Controller(ControllerFault::DuplicateCommand))
         }
-        ("harness", "sink_failure") => Ok(FaultKind::Harness(HarnessFault::SinkFailure {
-            writes: u64_field(v, "writes")? as u32,
-        })),
+        ("harness", "sink_failure") => {
+            Ok(FaultKind::Harness(HarnessFault::SinkFailure { writes: int_field(v, "writes")? }))
+        }
         ("harness", "worker_stall") => {
             Ok(FaultKind::Harness(HarnessFault::WorkerStall { millis: u64_field(v, "millis")? }))
         }
@@ -198,7 +186,7 @@ impl FaultPlan {
             events.push(FaultEvent {
                 seq: u64_field(&v, "seq")?,
                 at_access: u64_field(&v, "at")?,
-                bank: u64_field(&v, "bank")? as u16,
+                bank: int_field(&v, "bank")?,
                 kind: kind_from_json(&v)?,
             });
         }
@@ -242,6 +230,22 @@ mod tests {
         );
         let err = FaultPlan::parse_jsonl(&doc).unwrap_err();
         assert!(err.contains("unknown fault"), "{err}");
+    }
+
+    #[test]
+    fn rejects_out_of_range_integers_instead_of_wrapping() {
+        let plan = FaultPlan::generate(&FaultSpec::new(1));
+        // Bank 65536 would wrap to bank 0 under an unchecked `as u16`.
+        let doc = format!(
+            "{}{}",
+            plan.to_jsonl(),
+            "{\"seq\":0,\"at\":1,\"bank\":65536,\"layer\":\"tracker\",\"kind\":\"lookup_miss\"}\n"
+        );
+        let err = FaultPlan::parse_jsonl(&doc).unwrap_err();
+        assert_eq!(err, "field `bank` is out of range: 65536");
+        let header = plan.to_jsonl().replace("\"bit_flips\":0", "\"bit_flips\":4294967296");
+        let err = FaultPlan::parse_jsonl(&header).unwrap_err();
+        assert!(err.contains("`bit_flips`"), "{err}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`McBuilder`] replaces the old positional `MemoryController::new(...)`
 //! constructor plus post-hoc `enable_command_log`/`attach_telemetry`
 //! setters, which could not express the sharded configuration space
-//! (mapping policy, per-shard telemetry, audit wrapping, reorder depth).
+//! (mapping policy, per-shard telemetry, audit wrapping).
 //! One builder serves both targets:
 //!
 //! * [`McBuilder::build`] — a single [`MemoryController`] owning the whole
@@ -124,7 +124,6 @@ pub struct McBuilder<'a> {
     command_log: Option<CommandLog>,
     telemetry: Option<TelemetryTap>,
     per_shard_telemetry: Option<ShardTapFactory<'a>>,
-    reorder_depth: usize,
     faults: Option<FaultPlan>,
 }
 
@@ -134,15 +133,11 @@ impl std::fmt::Debug for McBuilder<'_> {
             .field("geometry", &self.config.geometry)
             .field("policy", &self.policy)
             .field("audit", &self.audit)
-            .field("reorder_depth", &self.reorder_depth)
             .finish()
     }
 }
 
 impl<'a> McBuilder<'a> {
-    /// Default bound on each channel's reorder buffer in the batched path.
-    pub const DEFAULT_REORDER_DEPTH: usize = 64;
-
     /// Starts a builder over `config`'s geometry and timing.
     pub fn new(config: McConfig) -> Self {
         McBuilder {
@@ -153,7 +148,6 @@ impl<'a> McBuilder<'a> {
             command_log: None,
             telemetry: None,
             per_shard_telemetry: None,
-            reorder_depth: Self::DEFAULT_REORDER_DEPTH,
             faults: None,
         }
     }
@@ -219,19 +213,6 @@ impl<'a> McBuilder<'a> {
         F: FnMut(u8, u16) -> Option<TelemetryTap> + 'a,
     {
         self.per_shard_telemetry = Some(Box::new(taps));
-        self
-    }
-
-    /// Bounds each channel's reorder buffer in
-    /// [`SystemController::try_run_batched`] (how many routed accesses a
-    /// channel may hold before they are forced through its shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a depth of zero — the buffer could never hold anything.
-    pub fn reorder_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "reorder depth of 0");
-        self.reorder_depth = depth;
         self
     }
 
@@ -317,7 +298,6 @@ impl<'a> McBuilder<'a> {
             command_log,
             telemetry,
             mut per_shard_telemetry,
-            reorder_depth,
             faults,
         } = self;
         assert!(
@@ -358,7 +338,7 @@ impl<'a> McBuilder<'a> {
             }
             shards.push(shard);
         }
-        Ok(SystemController::from_shards(geometry, policy, shards, reorder_depth))
+        Ok(SystemController::from_shards(geometry, policy, shards))
     }
 }
 
@@ -406,7 +386,7 @@ fn resolve_span<'s, 'a: 's>(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use workloads::{Synthetic, Workload};
+    use workloads::Synthetic;
 
     #[test]
     fn default_build_uses_no_defense() {
@@ -556,7 +536,7 @@ mod tests {
         let mut system = McBuilder::new(McConfig::micro2020_no_oracle())
             .command_log(CommandLog::bounded(128))
             .build_system();
-        system.try_run_batched(&Synthetic::s3(65_536, 1).take_accesses(100)).unwrap();
+        system.try_run(&mut Synthetic::s3(65_536, 1), 100).unwrap();
         let _ = system.finish();
         for shard in system.shards() {
             assert!(shard.command_log().is_some());
@@ -572,12 +552,6 @@ mod tests {
         let _ = McBuilder::new(McConfig::micro2020_no_oracle())
             .telemetry(TelemetryTap::new(Box::new(NoopSink), Cadence::EveryActs(1)))
             .build_system();
-    }
-
-    #[test]
-    #[should_panic(expected = "reorder depth of 0")]
-    fn zero_reorder_depth_rejected() {
-        let _ = McBuilder::new(McConfig::micro2020_no_oracle()).reorder_depth(0);
     }
 
     #[test]

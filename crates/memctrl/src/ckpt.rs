@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use telemetry::json::JsonValue;
+use telemetry::json::{self, JsonValue};
 
 use crate::stats::RunStats;
 
@@ -150,21 +150,16 @@ impl std::error::Error for CkptError {
     }
 }
 
-/// Builds an object from `(key, value)` pairs.
-pub(crate) fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+pub(crate) use telemetry::json::obj;
+
+/// Required sub-value lookup: [`json::field`] as a typed error.
+pub(crate) fn ckpt_field<'v>(v: &'v JsonValue, key: &str) -> Result<&'v JsonValue, CkptError> {
+    json::field(v, key).map_err(|_| CkptError::MissingField { key: key.to_owned() })
 }
 
-/// Required sub-value lookup.
-pub(crate) fn field<'v>(v: &'v JsonValue, key: &str) -> Result<&'v JsonValue, CkptError> {
-    v.get(key).ok_or_else(|| CkptError::MissingField { key: key.to_owned() })
-}
-
-/// Required integer field.
-pub(crate) fn u64_field(v: &JsonValue, key: &str) -> Result<u64, CkptError> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| CkptError::NotInteger { key: key.to_owned() })
+/// Required integer field: [`json::u64_field`] as a typed error.
+pub(crate) fn ckpt_u64(v: &JsonValue, key: &str) -> Result<u64, CkptError> {
+    json::u64_field(v, key).map_err(|_| CkptError::NotInteger { key: key.to_owned() })
 }
 
 /// Optional integer field: `Null` (or absence) maps to `None`.
@@ -219,7 +214,7 @@ pub(crate) fn run_stats_to_json(s: &RunStats) -> JsonValue {
 
 /// Parses what [`run_stats_to_json`] rendered.
 pub(crate) fn run_stats_from_json(v: &JsonValue) -> Result<RunStats, CkptError> {
-    let per_stream = field(v, "per_stream")?
+    let per_stream = ckpt_field(v, "per_stream")?
         .as_arr()
         .ok_or_else(|| CkptError::NotArray { key: "per_stream".to_owned() })?
         .iter()
@@ -234,21 +229,21 @@ pub(crate) fn run_stats_from_json(v: &JsonValue) -> Result<RunStats, CkptError> 
         })
         .collect::<Result<Vec<_>, CkptError>>()?;
     Ok(RunStats {
-        accesses: u64_field(v, "accesses")?,
-        activations: u64_field(v, "activations")?,
-        row_hits: u64_field(v, "row_hits")?,
-        refreshes: u64_field(v, "refreshes")?,
-        defense_refresh_commands: u64_field(v, "defense_refresh_commands")?,
-        victim_rows_refreshed: u64_field(v, "victim_rows_refreshed")?,
-        defense_busy: u64_field(v, "defense_busy")?,
-        completion: u64_field(v, "completion")?,
-        total_latency: u64_field(v, "total_latency")?,
-        bit_flips: u64_field(v, "bit_flips")?,
-        throttled_acts: u64_field(v, "throttled_acts")?,
-        throttle_delay: u64_field(v, "throttle_delay")?,
+        accesses: ckpt_u64(v, "accesses")?,
+        activations: ckpt_u64(v, "activations")?,
+        row_hits: ckpt_u64(v, "row_hits")?,
+        refreshes: ckpt_u64(v, "refreshes")?,
+        defense_refresh_commands: ckpt_u64(v, "defense_refresh_commands")?,
+        victim_rows_refreshed: ckpt_u64(v, "victim_rows_refreshed")?,
+        defense_busy: ckpt_u64(v, "defense_busy")?,
+        completion: ckpt_u64(v, "completion")?,
+        total_latency: ckpt_u64(v, "total_latency")?,
+        bit_flips: ckpt_u64(v, "bit_flips")?,
+        throttled_acts: ckpt_u64(v, "throttled_acts")?,
+        throttle_delay: ckpt_u64(v, "throttle_delay")?,
         per_stream,
-        stray_stream_accesses: u64_field(v, "stray_stream_accesses")?,
-        stray_stream_latency: u64_field(v, "stray_stream_latency")?,
+        stray_stream_accesses: ckpt_u64(v, "stray_stream_accesses")?,
+        stray_stream_latency: ckpt_u64(v, "stray_stream_latency")?,
         // Absent in pre-RFM checkpoints: default 0 (a DDR4 run issued none).
         rfm_commands: opt_u64_field(v, "rfm_commands")?.unwrap_or(0),
         forced_rfms: opt_u64_field(v, "forced_rfms")?.unwrap_or(0),

@@ -13,7 +13,7 @@ use telemetry::json::JsonValue;
 
 use crate::bank::{BankState, ServiceOutcome};
 use crate::ckpt::{
-    field, obj, opt_u64, opt_u64_field, run_stats_from_json, run_stats_to_json, u64_field,
+    ckpt_field, ckpt_u64, obj, opt_u64, opt_u64_field, run_stats_from_json, run_stats_to_json,
     CkptError,
 };
 use crate::cmdlog::{CommandLog, CommandRecord, LoggedCommand};
@@ -124,7 +124,7 @@ impl std::error::Error for McBuildError {
 }
 
 /// One access carrying an **absolute** arrival timestamp — the unit of
-/// batched shard ingestion ([`MemoryController::try_run_batch`]).
+/// shard ingestion ([`MemoryController::try_run_batch`]).
 ///
 /// The system front end assigns the timestamp while routing (summing the
 /// workload's inter-arrival gaps), so a shard replaying a channel's stamped
@@ -367,7 +367,7 @@ impl MemoryController {
 
     /// Books one served access into the statistics, command log, telemetry,
     /// fault oracle, and defense hook — the common tail of every dispatch
-    /// path (in-order, queued, and batched).
+    /// path (in-order and queued).
     fn apply_outcome(
         &mut self,
         bank_idx: usize,
@@ -479,21 +479,17 @@ impl MemoryController {
     pub fn try_run(&mut self, workload: &mut dyn Workload, n: u64) -> Result<RunStats, McError> {
         for i in 0..n {
             let access = workload.next_access();
-            self.clock += access.gap;
-            self.catch_up_refresh();
-
-            let bank_idx = self.route(access.bank, i)?;
-            self.consult_throttle(bank_idx, access.row, self.clock);
-            let outcome = self.banks[bank_idx].serve(access.row, self.clock);
-            self.apply_outcome(bank_idx, access.row, self.clock, access.stream, outcome);
+            let at = self.clock + access.gap;
+            self.step(
+                &StampedAccess { bank: access.bank, row: access.row, at, stream: access.stream },
+                i,
+            )?;
         }
-        self.flush_deferred_faults();
-        self.finish_telemetry();
-        Ok(self.stats.clone())
+        Ok(self.finish_run())
     }
 
     /// Ingests a batch of pre-routed, absolutely-timestamped accesses — the
-    /// shard-side half of the system controller's batched dispatch.
+    /// shard side of the system controller's drive paths.
     ///
     /// Per access the arrival clock advances to `max(clock, at)`, so a
     /// channel's sub-trace replayed through batches of any size produces
@@ -510,19 +506,31 @@ impl MemoryController {
     /// remain applied.
     pub fn try_run_batch(&mut self, batch: &[StampedAccess]) -> Result<(), McError> {
         for (i, a) in batch.iter().enumerate() {
-            self.clock = self.clock.max(a.at);
-            self.catch_up_refresh();
-            let bank_idx = self.route(a.bank, i as u64)?;
-            self.consult_throttle(bank_idx, a.row, self.clock);
-            let outcome = self.banks[bank_idx].serve(a.row, self.clock);
-            self.apply_outcome(bank_idx, a.row, self.clock, a.stream, outcome);
+            self.step(a, i as u64)?;
         }
         Ok(())
     }
 
-    /// Flushes telemetry and returns the statistics accumulated by the
-    /// batched path — the counterpart of the snapshot
-    /// [`try_run`](Self::try_run) returns per call.
+    /// In-order service of one access, the body both
+    /// [`try_run`](Self::try_run) and [`try_run_batch`](Self::try_run_batch)
+    /// loop over: the arrival clock advances to `max(clock, at)`, due
+    /// refreshes catch up, and the bank serves the access. `access_index`
+    /// numbers a routing error.
+    #[inline]
+    fn step(&mut self, a: &StampedAccess, access_index: u64) -> Result<(), McError> {
+        self.clock = self.clock.max(a.at);
+        self.catch_up_refresh();
+        let bank_idx = self.route(a.bank, access_index)?;
+        self.consult_throttle(bank_idx, a.row, self.clock);
+        let outcome = self.banks[bank_idx].serve(a.row, self.clock);
+        self.apply_outcome(bank_idx, a.row, self.clock, a.stream, outcome);
+        Ok(())
+    }
+
+    /// Flushes deferred faults and telemetry and returns the statistics
+    /// accumulated so far — what [`try_run`](Self::try_run) returns per
+    /// call, and what a caller of [`try_run_batch`](Self::try_run_batch)
+    /// calls once after its final batch.
     pub fn finish_run(&mut self) -> RunStats {
         self.flush_deferred_faults();
         self.finish_telemetry();
@@ -624,10 +632,11 @@ impl MemoryController {
     /// controller holds the bank so the access cannot start before
     /// `now + delay`, and accounts the decision in the run statistics.
     ///
-    /// Every dispatch path (in-order, queued, batched, duplicate replay)
-    /// consults with exactly the `(row, now)` pair its `serve` call uses,
-    /// so a stateful throttle sees one identical decision stream regardless
-    /// of batching — preserving the batched-dispatch bit-identity contract.
+    /// Every dispatch path (in-order, queued, duplicate replay) consults
+    /// with exactly the `(row, now)` pair its `serve` call uses, so a
+    /// stateful throttle sees one identical decision stream however the
+    /// accesses were batched — preserving the sharded bit-identity
+    /// contract.
     fn consult_throttle(&mut self, bank_idx: usize, row: RowId, now: Picoseconds) {
         let decision = self.defenses[bank_idx].throttle_decision(row, now);
         if decision.is_throttled() {
@@ -823,21 +832,21 @@ impl MemoryController {
     /// wrong channel, wrong bank count, a refresh position outside the
     /// engine's window, or a defense that rejects its state.
     pub fn restore(&mut self, state: &JsonValue) -> Result<(), CkptError> {
-        let channel = u64_field(state, "channel")?;
+        let channel = ckpt_u64(state, "channel")?;
         if channel != u64::from(self.channel) {
             return Err(CkptError::WrongChannel { found: channel, restoring: self.channel });
         }
-        let banks = field(state, "banks")?
+        let banks = ckpt_field(state, "banks")?
             .as_arr()
             .ok_or_else(|| CkptError::NotArray { key: "banks".to_owned() })?;
         if banks.len() != self.banks.len() {
             return Err(CkptError::BankCount { found: banks.len(), have: self.banks.len() });
         }
-        let stats = run_stats_from_json(field(state, "stats")?)?;
-        let clock = u64_field(state, "clock")?;
-        let wall = u64_field(state, "wall")?;
-        let next_refresh_at = u64_field(state, "next_refresh_at")?;
-        let refresh_hold_until = u64_field(state, "refresh_hold_until")?;
+        let stats = run_stats_from_json(ckpt_field(state, "stats")?)?;
+        let clock = ckpt_u64(state, "clock")?;
+        let wall = ckpt_u64(state, "wall")?;
+        let next_refresh_at = ckpt_u64(state, "next_refresh_at")?;
+        let refresh_hold_until = ckpt_u64(state, "refresh_hold_until")?;
         // Parse everything fallible for every bank before mutating any
         // state, so a malformed checkpoint cannot leave the controller
         // half-restored.
@@ -850,19 +859,19 @@ impl MemoryController {
             let open_row = open_row
                 .map(|r| u32::try_from(r).map(RowId).map_err(|_| shape("open_row exceeds u32")))
                 .transpose()?;
-            let hits = u32::try_from(u64_field(bank, "hits_on_open_row").map_err(ctx)?)
+            let hits = u32::try_from(ckpt_u64(bank, "hits_on_open_row").map_err(ctx)?)
                 .map_err(|_| shape("hits_on_open_row exceeds u32"))?;
-            let ready_at = u64_field(bank, "ready_at").map_err(ctx)?;
+            let ready_at = ckpt_u64(bank, "ready_at").map_err(ctx)?;
             let last_act_at = opt_u64_field(bank, "last_act_at").map_err(ctx)?;
-            let burst = u64_field(bank, "ref_burst_in_window").map_err(ctx)?;
+            let burst = ckpt_u64(bank, "ref_burst_in_window").map_err(ctx)?;
             if burst >= self.refresh_engines[b].cmds_per_window() {
                 return Err(shape(&format!(
                     "refresh burst position {burst} outside the {}-command window",
                     self.refresh_engines[b].cmds_per_window()
                 )));
             }
-            let refs_issued = u64_field(bank, "ref_refs_issued").map_err(ctx)?;
-            let ref_next_at = u64_field(bank, "ref_next_at").map_err(ctx)?;
+            let refs_issued = ckpt_u64(bank, "ref_refs_issued").map_err(ctx)?;
+            let ref_next_at = ckpt_u64(bank, "ref_next_at").map_err(ctx)?;
             // Pre-RFM checkpoints lack the field; 0 is their only possible
             // RAA value.
             let raa = opt_u64_field(bank, "raa").map_err(ctx)?.unwrap_or(0);
@@ -879,7 +888,7 @@ impl MemoryController {
         }
         for (b, bank) in banks.iter().enumerate() {
             self.defenses[b]
-                .restore_state(field(bank, "defense").map_err(|e| CkptError::bank(b, e))?)
+                .restore_state(ckpt_field(bank, "defense").map_err(|e| CkptError::bank(b, e))?)
                 .map_err(|e| CkptError::Defense { bank: b, detail: e })?;
         }
         for (b, (open_row, hits, ready_at, last_act_at, burst, refs_issued, ref_next_at, raa)) in
@@ -1121,7 +1130,7 @@ mod tests {
         geo_cfg.geometry.ranks_per_channel = 2;
         geo_cfg.geometry.banks_per_rank = 4;
         let mut system = McBuilder::new(geo_cfg).build_system();
-        let err = system.shards_mut()[3]
+        let err = system.split_streaming().1[3]
             .try_run_batch(&[StampedAccess { bank: 9, row: RowId(1), at: 0, stream: 0 }])
             .unwrap_err();
         assert_eq!(

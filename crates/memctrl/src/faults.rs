@@ -2,8 +2,8 @@
 //!
 //! The [`FaultInjector`] owns a [`faultsim::FaultPlan`] and is driven by the
 //! controller once per served access (the access index is the plan's clock,
-//! so the same plan replays bit-identically across the in-order, queued, and
-//! batched dispatch paths). Tracker-layer events are forwarded to the target
+//! so the same plan replays bit-identically across the in-order and queued
+//! dispatch paths). Tracker-layer events are forwarded to the target
 //! bank's defense; controller-layer events arm one-shot behaviours that the
 //! dispatch tail consumes:
 //!

@@ -29,7 +29,11 @@
 //! geometry (the legacy semantics), while [`McBuilder::build_system`]
 //! yields a channel-sharded [`SystemController`] whose front end routes
 //! every access through a [`mapping::MappingPolicy`] into per-channel
-//! shards with batched dispatch — see [`builder`] and [`system`].
+//! shards. Routing exists once ([`SystemRouter::route_one`]) and in-order
+//! service exists once (the per-access step behind
+//! [`MemoryController::try_run`] and [`MemoryController::try_run_batch`]),
+//! so the sequential and the parallel drive paths of the sharded system
+//! cannot drift apart — see [`builder`] and [`system`].
 //!
 //! # Example
 //!

@@ -7,11 +7,12 @@
 //! time — to the owning channel's shard, a plain [`MemoryController`] over
 //! that channel's geometry. Channels share no timing state in DDR4 (each
 //! has its own command/data bus), so shards are independent by
-//! construction: the batched path buffers routed accesses per channel and
-//! flushes them in chunks, and callers that want parallelism can take the
-//! per-channel batches from [`SystemController::route_batch`] and drive
-//! [`MemoryController::try_run_batch`] on disjoint shards from worker
-//! threads.
+//! construction. Routing exists once, as [`SystemRouter::route_one`]:
+//! [`SystemController::try_run`] routes through it and serves each access
+//! on its shard at once, and a parallel caller takes the router and the
+//! disjoint `&mut` shards from [`SystemController::split_streaming`] and
+//! feeds [`MemoryController::try_run_batch`] from worker threads (the SPSC
+//! pipeline in `rh-sim`).
 //!
 //! Because shards replay **absolute** timestamps and all refresh/clock
 //! state is per-channel, a sharded run is bit-identical to running each
@@ -23,7 +24,7 @@ use dram_model::timing::Picoseconds;
 use telemetry::json::JsonValue;
 use workloads::{Access, Workload};
 
-use crate::ckpt::{field, obj, u64_field, CkptError};
+use crate::ckpt::{ckpt_field, ckpt_u64, obj, CkptError};
 use crate::controller::{McError, MemoryController, StampedAccess};
 use crate::mapping::MappingPolicy;
 use crate::stats::RunStats;
@@ -38,38 +39,10 @@ pub struct SystemStats {
     pub merged: RunStats,
 }
 
-/// Shared routing logic of the sequential front end and the borrowed-out
-/// [`SystemRouter`]: advances the global clock by the access's gap and
-/// decodes it into `(channel, stamped access)`.
-fn route_stamped(
-    geometry: &DramGeometry,
-    policy: MappingPolicy,
-    clock: &mut Picoseconds,
-    routed: &mut u64,
-    access: &Access,
-) -> Result<(usize, StampedAccess), McError> {
-    *clock += access.gap;
-    let index = *routed;
-    *routed += 1;
-    match policy.route(geometry, access.bank, access.row) {
-        Ok(addr) => Ok((
-            usize::from(addr.coord.channel),
-            StampedAccess {
-                bank: MappingPolicy::shard_bank_index(geometry, addr) as u16,
-                row: addr.row,
-                at: *clock,
-                stream: access.stream,
-            },
-        )),
-        Err(addr) => {
-            Err(McError::AddressOutOfRange { addr, geometry: *geometry, access_index: index })
-        }
-    }
-}
-
 /// The routing front end of a [`SystemController`], borrowed out by
 /// [`SystemController::split_streaming`] so routing and shard execution can
-/// proceed on different threads at the same time.
+/// proceed on different threads at the same time. The controller's own
+/// [`try_run`](SystemController::try_run) routes through it too.
 #[derive(Debug)]
 pub struct SystemRouter<'a> {
     geometry: &'a DramGeometry,
@@ -79,17 +52,32 @@ pub struct SystemRouter<'a> {
 }
 
 impl SystemRouter<'_> {
-    /// Routes one access exactly as the owning controller's sequential
-    /// front end would: the global clock advances by the access's gap and
-    /// the stamped result carries the absolute arrival time.
+    /// Routes one access: the global clock advances by the access's gap
+    /// and the access decodes into `(channel, stamped access)`, the stamp
+    /// carrying the absolute arrival time.
     ///
     /// # Errors
     ///
     /// Returns [`McError::AddressOutOfRange`] when the access does not
-    /// decode into the geometry (the clock still advances, mirroring the
-    /// sequential path).
+    /// decode into the geometry (the clock still advances).
     pub fn route_one(&mut self, access: &Access) -> Result<(usize, StampedAccess), McError> {
-        route_stamped(self.geometry, self.policy, self.clock, self.routed, access)
+        *self.clock += access.gap;
+        let access_index = *self.routed;
+        *self.routed += 1;
+        match self.policy.route(self.geometry, access.bank, access.row) {
+            Ok(addr) => Ok((
+                usize::from(addr.coord.channel),
+                StampedAccess {
+                    bank: MappingPolicy::shard_bank_index(self.geometry, addr) as u16,
+                    row: addr.row,
+                    at: *self.clock,
+                    stream: access.stream,
+                },
+            )),
+            Err(addr) => {
+                Err(McError::AddressOutOfRange { addr, geometry: *self.geometry, access_index })
+            }
+        }
     }
 
     /// The full-system geometry the router decodes into.
@@ -106,11 +94,11 @@ impl SystemRouter<'_> {
 ///
 /// ```
 /// use memctrl::{McBuilder, McConfig};
-/// use workloads::{ProxyWorkload, SpecPreset, Workload};
+/// use workloads::{ProxyWorkload, SpecPreset};
 ///
 /// let mut system = McBuilder::new(McConfig::micro2020_no_oracle()).build_system();
 /// let mut w = ProxyWorkload::from_preset(SpecPreset::Libquantum, 64, 65_536, 5);
-/// system.try_run_batched(&w.take_accesses(10_000))?;
+/// system.try_run(&mut w, 10_000)?;
 /// let stats = system.finish();
 /// assert_eq!(stats.merged.accesses, 10_000);
 /// # Ok::<(), memctrl::McError>(())
@@ -119,9 +107,6 @@ pub struct SystemController {
     geometry: DramGeometry,
     policy: MappingPolicy,
     shards: Vec<MemoryController>,
-    /// Bounded per-channel reorder buffers of the batched path.
-    buffers: Vec<Vec<StampedAccess>>,
-    reorder_depth: usize,
     /// Global arrival clock, accumulated from workload gaps at routing time.
     clock: Picoseconds,
     /// Accesses routed so far; numbers the `access_index` of routing errors.
@@ -144,18 +129,8 @@ impl SystemController {
         geometry: DramGeometry,
         policy: MappingPolicy,
         shards: Vec<MemoryController>,
-        reorder_depth: usize,
     ) -> Self {
-        let channels = shards.len();
-        SystemController {
-            geometry,
-            policy,
-            shards,
-            buffers: (0..channels).map(|_| Vec::with_capacity(reorder_depth)).collect(),
-            reorder_depth,
-            clock: 0,
-            routed: 0,
-        }
+        SystemController { geometry, policy, shards, clock: 0, routed: 0 }
     }
 
     /// The full-system geometry (each shard owns its
@@ -179,25 +154,13 @@ impl SystemController {
         &self.shards
     }
 
-    /// Mutable shard access — this is how a parallel driver obtains
-    /// disjoint `&mut` controllers (via `iter_mut`) to pair with the
-    /// batches [`route_batch`](Self::route_batch) returns.
-    pub fn shards_mut(&mut self) -> &mut [MemoryController] {
-        &mut self.shards
-    }
-
-    /// Routes one access: advances the global clock by its gap and decodes
-    /// it into `(channel, stamped access)`.
-    fn route_one(&mut self, access: &Access) -> Result<(usize, StampedAccess), McError> {
-        route_stamped(&self.geometry, self.policy, &mut self.clock, &mut self.routed, access)
-    }
-
     /// Splits the controller into its routing front end and the shard
     /// array, so a driver thread can keep routing (and streaming batches
     /// out) while worker threads hold disjoint `&mut` shards — the borrow
-    /// shape the parallel SPSC pipeline in `rh-sim` needs. The router
-    /// mutates the same clock/rout-count state as [`try_run`](Self::try_run),
-    /// so routing through it is bit-identical to the sequential front end.
+    /// shape the parallel SPSC pipeline in `rh-sim` needs. The router owns
+    /// the controller's clock and routed-access count for the borrow, and
+    /// [`try_run`](Self::try_run) routes through the same router, so both
+    /// drive paths stamp every access identically.
     pub fn split_streaming(&mut self) -> (SystemRouter<'_>, &mut [MemoryController]) {
         (
             SystemRouter {
@@ -210,108 +173,28 @@ impl SystemController {
         )
     }
 
-    /// Pushes everything buffered for channel `c` through its shard.
-    fn flush_channel(&mut self, c: usize) {
-        if self.buffers[c].is_empty() {
-            return;
-        }
-        // invariant: route_one validated each access against the geometry
-        // before buffering, so the shard cannot reject it.
-        self.shards[c].try_run_batch(&self.buffers[c]).expect("routed accesses are in shard range");
-        self.buffers[c].clear();
-    }
-
-    fn flush_all(&mut self) {
-        for c in 0..self.buffers.len() {
-            self.flush_channel(c);
-        }
-    }
-
     /// Runs `n` accesses from `workload` through the front end one at a
-    /// time — the unbatched reference path.
+    /// time: each is routed and served on its shard before the next.
     ///
     /// # Errors
     ///
     /// Returns [`McError::AddressOutOfRange`] on the first access that does
     /// not decode into the geometry; prior accesses remain applied.
     pub fn try_run(&mut self, workload: &mut dyn Workload, n: u64) -> Result<(), McError> {
+        let (mut router, shards) = self.split_streaming();
         for _ in 0..n {
-            let access = workload.next_access();
-            let (c, stamped) = self.route_one(&access)?;
-            self.shards[c]
+            let (c, stamped) = router.route_one(&workload.next_access())?;
+            shards[c]
                 .try_run_batch(std::slice::from_ref(&stamped))
-                // invariant: route_one already validated the decode.
+                // invariant: route_one decoded the access into shard `c`.
                 .expect("routed access is in shard range");
         }
         Ok(())
     }
 
-    /// Ingests a chunk of accesses through bounded per-channel reorder
-    /// buffers: each access is routed and stamped immediately (so arrival
-    /// times are exact), buffered on its channel, and forced through the
-    /// shard whenever the channel's buffer reaches the configured depth.
-    /// All buffers are flushed before returning, so statistics are complete
-    /// after every call.
-    ///
-    /// Within a channel the buffer is FIFO — execution preserves stamp
-    /// order — so the batching changes *when* work is done, never the
-    /// simulated outcome ([`SystemStats`] are bit-identical to
-    /// [`try_run`](Self::try_run) on the same trace).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McError::AddressOutOfRange`] on the first access that does
-    /// not decode into the geometry (`access_index` counts from the start
-    /// of the run, not the chunk). Buffered work is flushed first, so prior
-    /// accesses remain applied.
-    pub fn try_run_batched(&mut self, accesses: &[Access]) -> Result<(), McError> {
-        for access in accesses {
-            let (c, stamped) = match self.route_one(access) {
-                Ok(routed) => routed,
-                Err(e) => {
-                    self.flush_all();
-                    return Err(e);
-                }
-            };
-            self.buffers[c].push(stamped);
-            if self.buffers[c].len() >= self.reorder_depth {
-                self.flush_channel(c);
-            }
-        }
-        self.flush_all();
-        Ok(())
-    }
-
-    /// Routes a whole chunk without executing it, returning one stamped
-    /// batch per channel — the scatter half of parallel sharded execution.
-    /// Feed each batch to the matching shard's
-    /// [`try_run_batch`](MemoryController::try_run_batch) (from worker
-    /// threads if desired; shards are independent), then call
-    /// [`finish`](Self::finish).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McError::AddressOutOfRange`] on the first access that does
-    /// not decode into the geometry; in that case **none** of the chunk has
-    /// been executed (routing is side-effect-free on the shards).
-    pub fn route_batch(&mut self, accesses: &[Access]) -> Result<Vec<Vec<StampedAccess>>, McError> {
-        let mut batches: Vec<Vec<StampedAccess>> = self
-            .shards
-            .iter()
-            .map(|_| Vec::with_capacity(accesses.len() / self.shards.len().max(1) + 1))
-            .collect();
-        for access in accesses {
-            let (c, stamped) = self.route_one(access)?;
-            batches[c].push(stamped);
-        }
-        Ok(batches)
-    }
-
-    /// Flushes any buffered work and telemetry and returns per-channel plus
-    /// merged statistics. Callable repeatedly; each call snapshots the
-    /// totals so far.
+    /// Flushes telemetry and returns per-channel plus merged statistics.
+    /// Callable repeatedly; each call snapshots the totals so far.
     pub fn finish(&mut self) -> SystemStats {
-        self.flush_all();
         let per_channel: Vec<RunStats> = self.shards.iter_mut().map(|s| s.finish_run()).collect();
         let mut merged = RunStats::default();
         for stats in &per_channel {
@@ -333,14 +216,9 @@ impl SystemController {
     ///
     /// # Errors
     ///
-    /// Refuses while the batched path holds buffered work (checkpoint
-    /// between [`try_run_batched`](Self::try_run_batched) calls, which
-    /// always flush), and propagates any shard's refusal (oracle, fault
-    /// plan, command log, telemetry tap, or an uncheckpointable defense).
+    /// Propagates any shard's refusal (oracle, fault plan, command log,
+    /// telemetry tap, or an uncheckpointable defense).
     pub fn snapshot(&self) -> Result<JsonValue, CkptError> {
-        if self.buffers.iter().any(|b| !b.is_empty()) {
-            return Err(CkptError::Unsupported { what: "with buffered unexecuted accesses" });
-        }
         let shards = self
             .shards
             .iter()
@@ -367,9 +245,9 @@ impl SystemController {
     /// channel order; on error, earlier shards may already hold the
     /// checkpoint's state, so discard the system rather than resuming it.
     pub fn restore(&mut self, state: &JsonValue) -> Result<(), CkptError> {
-        let clock = u64_field(state, "clock")?;
-        let routed = u64_field(state, "routed")?;
-        let shards = field(state, "shards")?
+        let clock = ckpt_u64(state, "clock")?;
+        let routed = ckpt_u64(state, "routed")?;
+        let shards = ckpt_field(state, "shards")?
             .as_arr()
             .ok_or_else(|| CkptError::NotArray { key: "shards".to_owned() })?;
         if shards.len() != self.shards.len() {
@@ -392,20 +270,26 @@ mod tests {
     use crate::builder::McBuilder;
     use crate::config::McConfig;
     use dram_model::geometry::RowId;
-    use workloads::{ProxyWorkload, SpecPreset};
+    use workloads::{ProxyWorkload, SpecPreset, Trace};
 
-    fn system(depth: usize) -> SystemController {
-        McBuilder::new(McConfig::micro2020_no_oracle()).reorder_depth(depth).build_system()
+    fn system() -> SystemController {
+        McBuilder::new(McConfig::micro2020_no_oracle()).build_system()
     }
 
     fn trace(n: usize) -> Vec<Access> {
         ProxyWorkload::from_preset(SpecPreset::Libquantum, 64, 65_536, 5).take_accesses(n)
     }
 
+    /// Drives `accesses` through [`SystemController::try_run`].
+    fn run(sys: &mut SystemController, accesses: Vec<Access>) -> Result<(), McError> {
+        let n = accesses.len() as u64;
+        sys.try_run(&mut Trace::from_accesses("trace", accesses).replay(), n)
+    }
+
     #[test]
-    fn batched_run_serves_every_access() {
-        let mut sys = system(64);
-        sys.try_run_batched(&trace(20_000)).unwrap();
+    fn run_serves_every_access() {
+        let mut sys = system();
+        run(&mut sys, trace(20_000)).unwrap();
         let stats = sys.finish();
         assert_eq!(stats.merged.accesses, 20_000);
         assert_eq!(stats.per_channel.len(), 4);
@@ -417,36 +301,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_unbatched_agree_bit_identically() {
-        let accesses = trace(10_000);
-        let mut batched = system(7); // awkward depth to exercise partial flushes
-        batched.try_run_batched(&accesses).unwrap();
-        let mut unbatched = system(64);
-        let mut replay = workloads::Trace::from_accesses("trace", accesses).replay();
-        unbatched.try_run(&mut replay, 10_000).unwrap();
-        assert_eq!(batched.finish(), unbatched.finish());
-    }
-
-    #[test]
-    fn route_batch_plus_manual_shard_drive_matches_batched() {
-        let accesses = trace(8_000);
-        let mut manual = system(64);
-        let batches = manual.route_batch(&accesses).unwrap();
-        for (shard, batch) in manual.shards_mut().iter_mut().zip(&batches) {
-            shard.try_run_batch(batch).unwrap();
-        }
-        let mut auto = system(64);
-        auto.try_run_batched(&accesses).unwrap();
-        assert_eq!(manual.finish(), auto.finish());
-    }
-
-    #[test]
     fn routing_error_names_the_missing_address() {
-        let mut sys = system(64);
+        let mut sys = system();
         let bad = Access { bank: 64, row: RowId(1), gap: 1_000, stream: 0 };
         let good = trace(5);
-        let err =
-            sys.try_run_batched(&[good[0], good[1], bad]).expect_err("bank 64 of 64 must fail");
+        let err = run(&mut sys, vec![good[0], good[1], bad]).expect_err("bank 64 of 64 must fail");
         match err {
             McError::AddressOutOfRange { addr, geometry, access_index } => {
                 assert_eq!(addr.coord.channel, 4, "dense decode of the 65th bank");
@@ -455,20 +314,20 @@ mod tests {
             }
             other => panic!("wrong error: {other:?}"),
         }
-        // The two good accesses were flushed before the error surfaced.
+        // The two good accesses were served before the error surfaced.
         assert_eq!(sys.finish().merged.accesses, 2);
     }
 
     #[test]
     fn system_checkpoint_resumes_bit_identically_through_json_text() {
         let accesses = trace(40_000);
-        let mut full = system(64);
-        full.try_run_batched(&accesses[..20_000]).unwrap();
+        let mut full = system();
+        run(&mut full, accesses[..20_000].to_vec()).unwrap();
         let text = full.snapshot().unwrap().to_string();
-        let mut resumed = system(64);
+        let mut resumed = system();
         resumed.restore(&telemetry::json::parse(&text).unwrap()).unwrap();
-        full.try_run_batched(&accesses[20_000..]).unwrap();
-        resumed.try_run_batched(&accesses[20_000..]).unwrap();
+        run(&mut full, accesses[20_000..].to_vec()).unwrap();
+        run(&mut resumed, accesses[20_000..].to_vec()).unwrap();
         assert_eq!(full.clock(), resumed.clock());
         assert_eq!(full.finish(), resumed.finish());
         assert_eq!(full.snapshot().unwrap().to_string(), resumed.snapshot().unwrap().to_string());
@@ -476,7 +335,7 @@ mod tests {
 
     #[test]
     fn system_restore_rejects_wrong_shard_count() {
-        let mut sys = system(64);
+        let mut sys = system();
         let state = telemetry::json::parse("{\"clock\":0,\"routed\":0,\"shards\":[]}").unwrap();
         let err = sys.restore(&state).unwrap_err();
         assert!(matches!(err, CkptError::ShardCount { found: 0, have: _ }), "{err:?}");
@@ -485,11 +344,14 @@ mod tests {
 
     #[test]
     fn global_clock_accumulates_gaps() {
-        let mut sys = system(64);
-        sys.try_run_batched(&[
-            Access { bank: 0, row: RowId(1), gap: 1_000, stream: 0 },
-            Access { bank: 1, row: RowId(1), gap: 2_000, stream: 0 },
-        ])
+        let mut sys = system();
+        run(
+            &mut sys,
+            vec![
+                Access { bank: 0, row: RowId(1), gap: 1_000, stream: 0 },
+                Access { bank: 1, row: RowId(1), gap: 2_000, stream: 0 },
+            ],
+        )
         .unwrap();
         assert_eq!(sys.clock(), 3_000);
         // The two accesses land on different channels under bank

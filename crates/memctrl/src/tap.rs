@@ -229,7 +229,7 @@ mod tests {
     use crate::config::McConfig;
     use mitigations::Para;
     use telemetry::{NoopSink, SharedSink};
-    use workloads::{Synthetic, Workload};
+    use workloads::Synthetic;
 
     #[test]
     fn tap_counts_acts_refs_and_victims() {
@@ -307,7 +307,7 @@ mod tests {
             .build_system();
         let mut w =
             workloads::ProxyWorkload::from_preset(workloads::SpecPreset::Libquantum, 64, 65_536, 5);
-        system.try_run_batched(&w.take_accesses(20_000)).unwrap();
+        system.try_run(&mut w, 20_000).unwrap();
         let stats = system.finish();
         let snap = sink.snapshot("keyed-tap-test");
 

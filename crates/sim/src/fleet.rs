@@ -4,11 +4,12 @@
 //!
 //! The matrix runners materialize workloads in memory; a fleet-scale trace
 //! (hundreds of millions of ACTs from thousands of tenants) cannot be. This
-//! module drives the [`sharded`](crate::sharded) pipeline straight from a
-//! [`TraceReader`] — the reader refills one chunk at a time, the router
-//! streams stamped batches into bounded per-channel SPSC queues, and the
-//! shards drain them concurrently — so resident memory stays O(chunk +
-//! queue depth) regardless of trace length.
+//! module feeds a [`TraceReader`] into the one [`sharded`]
+//! pipeline, the same one [`run_system_sharded`](crate::run_system_sharded)
+//! runs. The reader refills one chunk at a time, the router streams stamped
+//! batches into bounded per-channel SPSC queues, and the shards drain them
+//! concurrently, so resident memory stays O(chunk + queue depth) regardless
+//! of trace length.
 //!
 //! Execution is **segmented**: [`run_fleet`] streams `segment` accesses,
 //! quiesces the pipeline, writes a `fleetckpt.v2` checkpoint (the JSONL
@@ -57,10 +58,9 @@ use std::sync::Arc;
 
 use dram_model::geometry::DramGeometry;
 use memctrl::{
-    CkptError, MappingPolicy, McBuilder, McConfig, McError, StampedAccess, SystemController,
-    SystemStats,
+    CkptError, MappingPolicy, McBuilder, McConfig, McError, SystemController, SystemStats,
 };
-use telemetry::json::{self, JsonValue};
+use telemetry::json::{self, int_field, obj, str_field, u64_field, JsonValue};
 use telemetry::{MetricsSink, SharedSink};
 use workloads::crc::crc32c;
 use workloads::vfs::{real_fs, Vfs};
@@ -69,10 +69,8 @@ use workloads::{
     TraceWriter, Workload,
 };
 
-use crate::pool;
 use crate::scenarios::DefenseSpec;
-use crate::sharded::{pump, QUEUE_DEPTH};
-use crate::spsc;
+use crate::sharded::{self, Halt};
 
 /// Schema tag of the checkpoint header line.
 pub const FLEET_CKPT_SCHEMA: &str = "fleetckpt.v2";
@@ -256,22 +254,6 @@ impl FleetError {
     }
 }
 
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
-fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-}
-
-fn str_field<'v>(v: &'v JsonValue, key: &str) -> Result<&'v str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing or non-string field `{key}`"))
-}
-
 /// The configuration identity stamped into every `fleetckpt.v2` header.
 ///
 /// A checkpoint is only as good as the run that wrote it: restoring
@@ -331,10 +313,10 @@ impl CkptFingerprint {
             generation: str_field(v, "generation")?.to_owned(),
             audit,
             geometry: DramGeometry {
-                channels: u64_field(v, "channels")? as u8,
-                ranks_per_channel: u64_field(v, "ranks")? as u8,
-                banks_per_rank: u64_field(v, "banks")? as u8,
-                rows_per_bank: u64_field(v, "rows")? as u32,
+                channels: int_field(v, "channels")?,
+                ranks_per_channel: int_field(v, "ranks")?,
+                banks_per_rank: int_field(v, "banks")?,
+                rows_per_bank: int_field(v, "rows")?,
             },
         })
     }
@@ -584,16 +566,10 @@ pub fn read_fleet_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<FleetCheckpoin
     })
 }
 
-/// Streams exactly `n` accesses from `reader` through the split pipeline:
-/// the router rides the calling thread, shards drain their queues on
-/// `threads` pool workers. Identical mechanics to
-/// [`run_system_sharded`](crate::run_system_sharded), minus the workload
-/// factory: the reader IS the stream.
-///
-/// On a mid-segment failure (trace corruption, routing rejection) the
-/// producers are dropped, the pumps drain what was already queued and exit,
-/// and the typed error propagates — the system is left partially advanced
-/// and must be rolled back by the caller before retrying.
+/// Streams exactly `n` accesses from `reader` through the
+/// [`sharded`] pipeline, mapping its failures to the typed
+/// fleet errors. A failure leaves the system partially advanced; the
+/// caller must roll it back before retrying.
 fn stream_segment(
     system: &mut SystemController,
     reader: &mut TraceReader,
@@ -601,49 +577,16 @@ fn stream_segment(
     threads: usize,
     batch: usize,
 ) -> Result<(), FleetError> {
-    let channels = system.geometry().channels as usize;
-    let mut queues: Vec<spsc::SpscQueue<Vec<StampedAccess>>> =
-        (0..channels).map(|_| spsc::SpscQueue::new(QUEUE_DEPTH)).collect();
-    let (mut router, shards) = system.split_streaming();
-    let mut producers = Vec::with_capacity(channels);
-    let mut consumers = Vec::with_capacity(channels);
-    for q in &mut queues {
-        let (tx, rx) = q.split();
-        producers.push(tx);
-        consumers.push(rx);
-    }
-    let jobs: Vec<pool::Job<'_>> = shards
-        .iter_mut()
-        .zip(consumers)
-        .map(|(shard, rx)| pool::job(move |sp| pump(shard, rx, sp)))
-        .collect();
-    pool::run_scoped(threads, jobs, None, None, move || -> Result<(), FleetError> {
-        let mut pending: Vec<Vec<StampedAccess>> =
-            (0..channels).map(|_| Vec::with_capacity(batch)).collect();
-        for _ in 0..n {
-            let access = reader.try_next().map_err(|source| FleetError::TraceStream {
-                position: reader.position(),
-                source,
-            })?;
-            let (c, stamped) = router
-                .route_one(&access)
-                .map_err(|source| FleetError::Route { position: reader.position(), source })?;
-            pending[c].push(stamped);
-            if pending[c].len() == batch {
-                let full = std::mem::replace(&mut pending[c], Vec::with_capacity(batch));
-                producers[c].push_blocking(full);
-            }
-        }
-        for (c, buf) in pending.into_iter().enumerate() {
-            if !buf.is_empty() {
-                producers[c].push_blocking(buf);
-            }
-        }
-        // Dropping the producers closes the queues; pumps drain and exit —
-        // on the error paths above too.
-        Ok(())
+    let next = || {
+        reader
+            .try_next()
+            .map_err(|source| FleetError::TraceStream { position: reader.position(), source })
+    };
+    sharded::stream(system, n, threads, batch, next).map_err(|halt| match halt {
+        Halt::Source(e) => e,
+        // The reader has not moved since the rejected record.
+        Halt::Route(source) => FleetError::Route { position: reader.position(), source },
     })
-    .0
 }
 
 /// Configuration of one fleet replay.
@@ -1325,6 +1268,22 @@ mod tests {
         let path = tmp("fleet.rht4");
         synth_fleet_trace(&path, "fleet-test", &cfg.system.geometry, 48, accesses, 7).unwrap();
         path
+    }
+
+    #[test]
+    fn fingerprint_rejects_out_of_range_geometry_instead_of_wrapping() {
+        let good = CkptFingerprint::of(&small_cfg());
+        assert_eq!(CkptFingerprint::from_json(&good.to_json()), Ok(good.clone()));
+        // 260 channels would wrap to 4 under an unchecked `as u8` and pass
+        // the config check against this very run.
+        let JsonValue::Obj(mut fields) = good.to_json() else { unreachable!() };
+        for (k, v) in &mut fields {
+            if k == "channels" {
+                *v = JsonValue::U64(260);
+            }
+        }
+        let err = CkptFingerprint::from_json(&JsonValue::Obj(fields)).unwrap_err();
+        assert_eq!(err, "field `channels` is out of range: 260");
     }
 
     #[test]

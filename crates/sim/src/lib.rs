@@ -15,12 +15,13 @@
 //!   [`SimReport`]s; [`arena`] and [`generations`] score the same cells
 //!   their own way.
 //! * [`pool`] — the std-only work-stealing thread pool every parallel path
-//!   (sweeps, the resilience matrix, the streaming pipelines) runs on,
+//!   (sweeps, the resilience matrix, the streaming pipeline) runs on,
 //!   behind one entry point.
-//! * [`sharded`] — the full-system path: accesses streamed through a
-//!   [`memctrl::MappingPolicy`] router into per-channel shards that drain
-//!   bounded [`spsc`] queues concurrently on the same pool, bit-identical
-//!   to sequential execution at every worker count.
+//! * [`sharded`] — the full-system path and its one streaming pipeline:
+//!   accesses streamed through a [`memctrl::MappingPolicy`] router into
+//!   per-channel shards that drain bounded [`spsc`] queues concurrently on
+//!   the same pool, bit-identical to sequential execution at every worker
+//!   count. The fleet replay runs the same pipeline.
 //! * [`spsc`] — the std-only bounded single-producer/single-consumer ring
 //!   the streaming pipeline is built on.
 //! * [`faulted`] — the resilience matrix: seeded fault plans crossed with

@@ -12,6 +12,10 @@
 //! up front, and a shard job that finds its queue empty re-enqueues itself
 //! so fewer workers than channels can never deadlock the pipeline.
 //!
+//! The pipeline exists once, as the crate-private `stream`, which takes an
+//! access source. [`run_system_sharded`] calls it with a workload, and the
+//! [`fleet`](crate::fleet) replay calls it with a trace reader.
+//!
 //! The two paths are interchangeable by construction: each channel's queue
 //! delivers that channel's accesses in routing order, stamped with the same
 //! absolute arrival times the sequential front end would have presented
@@ -23,11 +27,11 @@
 //! legacy single-shard path and across 1/2/4/8-thread runs.
 
 use memctrl::{
-    DefenseFactory, MappingPolicy, McBuilder, MemoryController, StampedAccess, SystemController,
-    SystemStats, TelemetryTap,
+    DefenseFactory, MappingPolicy, McBuilder, McError, MemoryController, StampedAccess,
+    SystemController, SystemStats, TelemetryTap,
 };
 use telemetry::{Cadence, SharedSink, Snapshot};
-use workloads::Workload;
+use workloads::{Access, Workload};
 
 use crate::pool;
 use crate::runner::{audit_run, recording_sink, sink_for, SimConfig};
@@ -37,7 +41,7 @@ use crate::spsc;
 /// Batches in flight per channel queue: enough to decouple the router from
 /// a momentarily busy shard without ballooning memory (depth × batch
 /// accesses buffered per channel).
-pub(crate) const QUEUE_DEPTH: usize = 16;
+const QUEUE_DEPTH: usize = 16;
 
 /// Empty polls a shard job tolerates before re-enqueueing itself and
 /// releasing its worker — the cooperative yield that keeps the pipeline
@@ -51,7 +55,7 @@ const PUMP_IDLE_POLLS: u32 = 4;
 /// A shard's consumer loop: drain the channel queue batch by batch until
 /// the router closes it. On a dry spell the job re-enqueues itself (moving
 /// to the back of the worker's deque) instead of camping on the worker.
-pub(crate) fn pump<'env>(
+fn pump<'env>(
     shard: &'env mut MemoryController,
     mut rx: spsc::Consumer<'env, Vec<StampedAccess>>,
     sp: &pool::Spawner<'env, '_>,
@@ -75,6 +79,64 @@ pub(crate) fn pump<'env>(
             std::thread::yield_now();
         }
     }
+}
+
+/// Why [`stream`] stopped before its `n`-th access.
+pub(crate) enum Halt<E> {
+    /// The access source failed.
+    Source(E),
+    /// The routing front end rejected an access.
+    Route(McError),
+}
+
+/// Streams `n` accesses from `next` through `system`'s split pipeline: the
+/// router rides the calling thread and pushes `batch`-sized chunks into
+/// one SPSC queue per channel, and the shards drain their queues on
+/// `threads` pool workers.
+///
+/// On a source or routing failure the producers are dropped, the pumps
+/// drain what was already queued and exit, and the failure returns to the
+/// caller — the system is left partially advanced.
+pub(crate) fn stream<E>(
+    system: &mut SystemController,
+    n: u64,
+    threads: usize,
+    batch: usize,
+    mut next: impl FnMut() -> Result<Access, E>,
+) -> Result<(), Halt<E>> {
+    let channels = system.geometry().channels as usize;
+    let mut queues: Vec<spsc::SpscQueue<Vec<StampedAccess>>> =
+        (0..channels).map(|_| spsc::SpscQueue::new(QUEUE_DEPTH)).collect();
+    let (mut router, shards) = system.split_streaming();
+    let (mut producers, consumers): (Vec<_>, Vec<_>) =
+        queues.iter_mut().map(spsc::SpscQueue::split).unzip();
+    let jobs: Vec<pool::Job<'_>> = shards
+        .iter_mut()
+        .zip(consumers)
+        .map(|(shard, rx)| pool::job(move |sp| pump(shard, rx, sp)))
+        .collect();
+    pool::run_scoped(threads, jobs, None, None, move || {
+        let mut pending: Vec<Vec<StampedAccess>> =
+            (0..channels).map(|_| Vec::with_capacity(batch)).collect();
+        for _ in 0..n {
+            let access = next().map_err(Halt::Source)?;
+            let (c, stamped) = router.route_one(&access).map_err(Halt::Route)?;
+            pending[c].push(stamped);
+            if pending[c].len() == batch {
+                let full = std::mem::replace(&mut pending[c], Vec::with_capacity(batch));
+                producers[c].push_blocking(full);
+            }
+        }
+        for (c, buf) in pending.into_iter().enumerate() {
+            if !buf.is_empty() {
+                producers[c].push_blocking(buf);
+            }
+        }
+        // Dropping the producers closes every queue; the shard jobs drain
+        // what remains and the pool winds down — on the error paths too.
+        Ok(())
+    })
+    .0
 }
 
 /// Result of one full-system run (sequential or sharded).
@@ -215,45 +277,9 @@ pub fn run_system_sharded(
     let mut system = build_system(sim, policy, defense, audit, &shared);
     let geometry = *system.geometry();
     let mut w = workload.build(geometry.total_banks() as u16, geometry.rows_per_bank, sim.seed);
-    let channels = geometry.channels as usize;
-    let mut queues: Vec<spsc::SpscQueue<Vec<StampedAccess>>> =
-        (0..channels).map(|_| spsc::SpscQueue::new(QUEUE_DEPTH)).collect();
-    {
-        let (mut router, shards) = system.split_streaming();
-        let mut producers = Vec::with_capacity(channels);
-        let mut consumers = Vec::with_capacity(channels);
-        for q in &mut queues {
-            let (tx, rx) = q.split();
-            producers.push(tx);
-            consumers.push(rx);
-        }
-        let jobs: Vec<pool::Job<'_>> = shards
-            .iter_mut()
-            .zip(consumers)
-            .map(|(shard, rx)| pool::job(move |sp| pump(shard, rx, sp)))
-            .collect();
-        pool::run_scoped(threads, jobs, None, None, move || {
-            let mut pending: Vec<Vec<StampedAccess>> =
-                (0..channels).map(|_| Vec::with_capacity(batch)).collect();
-            for _ in 0..sim.accesses {
-                let access = w.next_access();
-                let (c, stamped) = router
-                    .route_one(&access)
-                    .unwrap_or_else(|e| panic!("{}/{}: {e}", defense.name(), workload.name()));
-                pending[c].push(stamped);
-                if pending[c].len() == batch {
-                    let full = std::mem::replace(&mut pending[c], Vec::with_capacity(batch));
-                    producers[c].push_blocking(full);
-                }
-            }
-            for (c, buf) in pending.into_iter().enumerate() {
-                if !buf.is_empty() {
-                    producers[c].push_blocking(buf);
-                }
-            }
-            // Dropping the producers closes every queue; the shard jobs
-            // drain what remains and the pool winds down.
-        });
+    let next = || Ok::<_, std::convert::Infallible>(w.next_access());
+    if let Err(Halt::Route(e)) = stream(&mut system, sim.accesses, threads, batch, next) {
+        panic!("{}/{}: {e}", defense.name(), workload.name());
     }
     let (stats, snapshot) = seal(system, defense, workload, audit, shared);
     SystemReport {

@@ -25,9 +25,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use dram_model::geometry::DramGeometry;
-use memctrl::SystemStats;
+use memctrl::{McBuilder, SystemStats};
 use proptest::prelude::*;
 use rh_sim::{run_fleet, synth_fleet_trace, DefenseSpec, FleetConfig};
+use workloads::{Trace, TraceReader};
 
 const TRACE_LEN: u64 = 24_000;
 
@@ -68,7 +69,9 @@ fn trace() -> &'static PathBuf {
 }
 
 /// The uninterrupted reference run of the shared trace under defense
-/// `didx`, computed once per defense.
+/// `didx`, computed once per defense and pinned to the sequential path:
+/// the same records, read back from the RHT4 file and served in order by
+/// [`memctrl::SystemController::try_run`], must give the same stats.
 fn reference(didx: usize) -> &'static SystemStats {
     static REFERENCES: [OnceLock<SystemStats>; 4] =
         [OnceLock::new(), OnceLock::new(), OnceLock::new(), OnceLock::new()];
@@ -78,6 +81,18 @@ fn reference(didx: usize) -> &'static SystemStats {
         cfg.segment = TRACE_LEN;
         let report = run_fleet(&cfg, trace(), |_| {}).unwrap();
         assert_eq!(report.accesses_done, TRACE_LEN);
+
+        let mut reader = TraceReader::open(trace()).unwrap();
+        let records: Vec<_> = (0..TRACE_LEN).map(|_| reader.try_next().unwrap()).collect();
+        let mut system = McBuilder::new(cfg.system.clone())
+            .mapping(cfg.policy)
+            .defenses(&cfg.defense)
+            .audit(cfg.audit)
+            .build_system();
+        system
+            .try_run(&mut Trace::from_accesses("fleet-prop", records).replay(), TRACE_LEN)
+            .unwrap();
+        assert_eq!(system.finish(), report.stats, "fleet replay diverged from the sequential path");
         report.stats
     })
 }

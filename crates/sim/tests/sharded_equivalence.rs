@@ -1,8 +1,10 @@
 //! Property test pinning the central claim of the sharded system path:
-//! channel-sharded batched execution of an interleaved trace produces
+//! running an interleaved trace through the channel-sharded
+//! [`SystemController::try_run`](memctrl::SystemController::try_run) (the
+//! sequential drive path every parallel run is compared against) produces
 //! per-channel [`RunStats`] **bit-identical** to running each channel's
-//! sub-trace through the legacy single-shard controller — for every
-//! mapping policy, with and without recorded telemetry.
+//! sub-trace through the legacy single-shard controller, for every mapping
+//! policy, with and without recorded telemetry.
 //!
 //! The legacy comparison controller for channel `c` is seeded with the
 //! *global* bank indices (`c × banks_per_channel + local`), exactly as the
@@ -62,7 +64,7 @@ fn run_equivalence(trace: &[Access], policy: MappingPolicy, recorded: bool) {
     let per_channel = geometry.banks_per_channel() as usize;
     let defense = DefenseSpec::Para { p: 0.02 };
 
-    // Sharded system path: batched ingestion through the routing front end.
+    // Sharded system path: in-order service through the routing front end.
     let shared = recorded.then(|| SharedSink::with_recorder(Recorder::with_ring_capacity(64)));
     let mut builder = McBuilder::new(cfg.clone()).mapping(policy).defenses(&defense);
     if let Some(s) = &shared {
@@ -76,7 +78,8 @@ fn run_equivalence(trace: &[Access], policy: MappingPolicy, recorded: bool) {
         });
     }
     let mut system = builder.build_system();
-    system.try_run_batched(trace).unwrap();
+    let n = trace.len() as u64;
+    system.try_run(&mut Trace::from_accesses("trace", trace.to_vec()).replay(), n).unwrap();
     let system_stats = system.finish();
 
     // Legacy path: each channel's sub-trace through a single-shard

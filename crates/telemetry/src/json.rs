@@ -78,6 +78,54 @@ impl JsonValue {
     }
 }
 
+/// Builds an object from `(key, value)` pairs.
+pub fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
+    JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
+/// Required sub-value lookup.
+///
+/// # Errors
+///
+/// Names `key` when `v` has no such field.
+pub fn field<'v>(v: &'v JsonValue, key: &str) -> Result<&'v JsonValue, String> {
+    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
+}
+
+/// Required integer field.
+///
+/// # Errors
+///
+/// Names `key` when the field is absent or not a `u64`.
+pub fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
+    v.get(key)
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
+}
+
+/// Required integer field narrowed to `T` — the checked reader for fields
+/// stored as `u8`/`u16`/`u32`, so an out-of-range value from a file is an
+/// error instead of a silently wrapped one.
+///
+/// # Errors
+///
+/// Names `key` when the field is absent, not a `u64`, or does not fit `T`.
+pub fn int_field<T: TryFrom<u64>>(v: &JsonValue, key: &str) -> Result<T, String> {
+    let x = u64_field(v, key)?;
+    T::try_from(x).map_err(|_| format!("field `{key}` is out of range: {x}"))
+}
+
+/// Required string field.
+///
+/// # Errors
+///
+/// Names `key` when the field is absent or not a string.
+pub fn str_field<'v>(v: &'v JsonValue, key: &str) -> Result<&'v str, String> {
+    v.get(key)
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| format!("missing or non-string field `{key}`"))
+}
+
 /// Renders `f64` per the module contract: shortest-roundtrip `Display` for
 /// finite values, `null` otherwise.
 fn write_f64(f: &mut fmt::Formatter<'_>, v: f64) -> fmt::Result {
@@ -403,5 +451,17 @@ mod tests {
         assert_eq!(v.get("b").and_then(JsonValue::as_arr).map(<[_]>::len), Some(1));
         assert_eq!(v.get("c").and_then(JsonValue::as_str), Some("x"));
         assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn field_helpers_name_the_key_and_narrow_checked() {
+        let v = obj(vec![("n", JsonValue::U64(260)), ("s", JsonValue::Str("x".into()))]);
+        assert_eq!(u64_field(&v, "n"), Ok(260));
+        assert_eq!(int_field::<u16>(&v, "n"), Ok(260));
+        assert_eq!(int_field::<u8>(&v, "n"), Err("field `n` is out of range: 260".to_owned()));
+        assert_eq!(u64_field(&v, "s"), Err("missing or non-integer field `s`".to_owned()));
+        assert_eq!(str_field(&v, "s"), Ok("x"));
+        assert_eq!(str_field(&v, "n"), Err("missing or non-string field `n`".to_owned()));
+        assert_eq!(field(&v, "z"), Err("missing field `z`".to_owned()));
     }
 }
