@@ -273,7 +273,7 @@ fn measure_matrix(accesses: u64) -> (usize, usize, f64) {
     let defenses = [DefenseSpec::Graphene { t_rh: 5_000, k: 2 }, DefenseSpec::Para { p: 0.001 }];
     let workloads = [WorkloadSpec::S3, WorkloadSpec::S1 { n: 8 }];
     let start = Instant::now();
-    let reports = run_matrix(&cfg, &defenses, &workloads);
+    let reports = run_matrix(&cfg, &defenses, &workloads).reports;
     let wall = start.elapsed().as_secs_f64();
     assert_eq!(reports.len(), defenses.len() * workloads.len());
     (workloads.len(), defenses.len(), wall * 1_000.0)

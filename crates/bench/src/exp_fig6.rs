@@ -1,6 +1,6 @@
 //! Figure 6: worst-case additional refreshes and table size vs `k`.
 
-use rh_analysis::export::{output_dir, Csv};
+use rh_analysis::export::Csv;
 use rh_analysis::report::pct;
 use rh_analysis::worstcase::figure6_sweep;
 use rh_analysis::TablePrinter;
@@ -30,22 +30,19 @@ pub fn run(_fast: bool) {
     }
     table.print();
 
-    let mut csv =
-        Csv::new(vec!["k", "n_entry", "table_bits", "worst_victim_rows", "energy_overhead"]);
-    for p in &sweep {
-        csv.row(vec![
-            p.k.to_string(),
-            p.n_entry.to_string(),
-            p.table_bits.to_string(),
-            p.worst_case_victim_rows.to_string(),
-            format!("{:.6}", p.energy_overhead),
-        ]);
-    }
-    let path = output_dir().join("fig6.csv");
-    match csv.write_to(&path) {
-        Ok(()) => println!("[data written to {}]", path.display()),
-        Err(e) => println!("[could not write {}: {e}]", path.display()),
-    }
+    let csv: Csv = sweep
+        .iter()
+        .map(|p| {
+            vec![
+                ("k", p.k.to_string()),
+                ("n_entry", p.n_entry.to_string()),
+                ("table_bits", p.table_bits.to_string()),
+                ("worst_victim_rows", p.worst_case_victim_rows.to_string()),
+                ("energy_overhead", format!("{:.6}", p.energy_overhead)),
+            ]
+        })
+        .collect();
+    crate::write_output("fig6.csv", &csv.render());
 
     println!();
     println!(

@@ -7,7 +7,7 @@
 //! the 0.34 % bound; PARA sits at its constant ~2.1 %; CBT bursts.
 //! (c) performance loss from victim refreshes on the adversarial patterns.
 
-use rh_analysis::export::{output_dir, Csv};
+use rh_analysis::export::Csv;
 use rh_analysis::report::pct;
 use rh_analysis::TablePrinter;
 use rh_sim::{run_matrix, DefenseSpec, SimConfig, SimReport, WorkloadSpec};
@@ -26,7 +26,7 @@ pub fn run(fast: bool) {
     } else {
         WorkloadSpec::normal_set()
     };
-    let reports = run_matrix(&cfg, &defenses, &normals);
+    let reports = run_matrix(&cfg, &defenses, &normals).reports;
 
     println!("\n(a) refresh-energy increase, normal workloads:");
     let mut table =
@@ -80,7 +80,7 @@ pub fn run(fast: bool) {
     let attack_accesses: u64 = if fast { 300_000 } else { 3_000_000 };
     let cfg = SimConfig { accesses: attack_accesses, ..SimConfig::micro2020(attack_accesses) };
     let attacks = WorkloadSpec::adversarial_set();
-    let reports = run_matrix(&cfg, &defenses, &attacks);
+    let reports = run_matrix(&cfg, &defenses, &attacks).reports;
 
     println!("\n(b) refresh-energy increase, adversarial patterns (single bank):");
     let mut table = TablePrinter::new(vec![
@@ -114,30 +114,20 @@ pub fn run(fast: bool) {
 
 /// Dumps a report list as CSV into the experiment output directory.
 fn write_csv(name: &str, reports: &[SimReport]) {
-    let mut csv = Csv::new(vec![
-        "workload",
-        "defense",
-        "victim_rows_refreshed",
-        "defense_refresh_commands",
-        "energy_overhead",
-        "slowdown",
-        "latency_increase",
-        "bit_flips",
-    ]);
-    for r in reports {
-        csv.row(vec![
-            r.workload.clone(),
-            r.defense.clone(),
-            r.stats.victim_rows_refreshed.to_string(),
-            r.stats.defense_refresh_commands.to_string(),
-            format!("{:.6}", r.energy_overhead),
-            format!("{:.6}", r.slowdown),
-            format!("{:.6}", r.latency_increase),
-            r.stats.bit_flips.to_string(),
-        ]);
-    }
-    let path = output_dir().join(name);
-    if csv.write_to(&path).is_ok() {
-        println!("[data written to {}]", path.display());
-    }
+    let csv: Csv = reports
+        .iter()
+        .map(|r| {
+            vec![
+                ("workload", r.workload.clone()),
+                ("defense", r.defense.clone()),
+                ("victim_rows_refreshed", r.stats.victim_rows_refreshed.to_string()),
+                ("defense_refresh_commands", r.stats.defense_refresh_commands.to_string()),
+                ("energy_overhead", format!("{:.6}", r.energy_overhead)),
+                ("slowdown", format!("{:.6}", r.slowdown)),
+                ("latency_increase", format!("{:.6}", r.latency_increase)),
+                ("bit_flips", r.stats.bit_flips.to_string()),
+            ]
+        })
+        .collect();
+    crate::write_output(name, &csv.render());
 }

@@ -1,7 +1,7 @@
 //! Figure 9: scalability across Row Hammer thresholds
 //! (50K → 1.56K, the technology-scaling sweep).
 
-use rh_analysis::export::{output_dir, Csv};
+use rh_analysis::export::Csv;
 use rh_analysis::report::{pct, thousands};
 use rh_analysis::{AreaComparison, TablePrinter};
 use rh_sim::{run_matrix, DefenseSpec, SimConfig, WorkloadSpec};
@@ -27,19 +27,18 @@ pub fn run(fast: bool) {
         ]);
     }
     table.print();
-    let mut csv = Csv::new(vec!["t_rh", "cbt_bits_rank", "twice_bits_rank", "graphene_bits_rank"]);
-    for c in AreaComparison::figure9_sweep() {
-        csv.row(vec![
-            c.t_rh.to_string(),
-            c.cbt.per_rank(16).to_string(),
-            c.twice.per_rank(16).to_string(),
-            c.graphene.per_rank(16).to_string(),
-        ]);
-    }
-    let path = output_dir().join("fig9a.csv");
-    if csv.write_to(&path).is_ok() {
-        println!("[data written to {}]", path.display());
-    }
+    let csv: Csv = AreaComparison::figure9_sweep()
+        .iter()
+        .map(|c| {
+            vec![
+                ("t_rh", c.t_rh.to_string()),
+                ("cbt_bits_rank", c.cbt.per_rank(16).to_string()),
+                ("twice_bits_rank", c.twice.per_rank(16).to_string()),
+                ("graphene_bits_rank", c.graphene.per_rank(16).to_string()),
+            ]
+        })
+        .collect();
+    crate::write_output("fig9a.csv", &csv.render());
     println!("Paper: all scale ~linearly in 1/T_RH; TWiCe reaches ~1.19 MB/rank at 1.56K.");
 
     let thresholds: &[u64] =
@@ -59,7 +58,7 @@ pub fn run(fast: bool) {
     for &t_rh in thresholds {
         let cfg = SimConfig::with_threshold(t_rh, accesses);
         let defenses = DefenseSpec::paper_lineup(t_rh);
-        let reports = run_matrix(&cfg, &defenses, &[WorkloadSpec::MixHigh]);
+        let reports = run_matrix(&cfg, &defenses, &[WorkloadSpec::MixHigh]).reports;
         table.row(vec![
             t_rh.to_string(),
             pct(reports[0].energy_overhead),
@@ -87,7 +86,7 @@ pub fn run(fast: bool) {
     for &t_rh in thresholds {
         let cfg = SimConfig::with_threshold(t_rh, attack_accesses);
         let defenses = DefenseSpec::paper_lineup(t_rh);
-        let reports = run_matrix(&cfg, &defenses, &[WorkloadSpec::S1 { n: 10 }]);
+        let reports = run_matrix(&cfg, &defenses, &[WorkloadSpec::S1 { n: 10 }]).reports;
         let flips: u64 = reports.iter().map(|r| r.stats.bit_flips).sum();
         table.row(vec![
             t_rh.to_string(),

@@ -25,10 +25,11 @@
 //!   cell's series prefixed `"{plan}/{workload}/{defense}/"`.
 
 use faultsim::FaultSpec;
-use rh_analysis::export::{output_dir, Csv};
+use rh_analysis::export::Csv;
 use rh_analysis::TablePrinter;
 use rh_sim::{
-    run_matrix_faulted, CellOutcome, DefenseSpec, ResilienceReport, SimConfig, WorkloadSpec,
+    run_matrix_faulted, CellOutcome, DefenseSpec, FaultedRun, ResilienceReport, SimConfig,
+    WorkloadSpec,
 };
 
 /// Runs the resilience matrix, asserts the degradation guarantees, and
@@ -181,72 +182,51 @@ fn print_cells(report: &ResilienceReport) {
     }
 }
 
+/// Reads one counter column of a completed cell.
+type Counter = fn(&FaultedRun) -> u64;
+
+/// The counter columns of `resilience.csv`, each next to the field it
+/// reads; an audit-killed cell writes `-` under every one.
+const COUNTER_COLUMNS: [(&str, Counter); 12] = [
+    ("false_negatives", |r| r.false_negatives),
+    ("tracker_applied", |r| r.faults.tracker_faults_applied),
+    ("tracker_vacuous", |r| r.faults.tracker_faults_vacuous),
+    ("nrrs_dropped", |r| r.faults.nrrs_dropped),
+    ("nrrs_deferred", |r| r.faults.nrrs_deferred),
+    ("nrrs_released", |r| r.faults.nrrs_released),
+    ("refreshes_postponed", |r| r.faults.refreshes_postponed),
+    ("commands_duplicated", |r| r.faults.commands_duplicated),
+    ("parity_detections", |r| r.parity_detections),
+    ("repair_nrrs", |r| r.repair_nrrs),
+    ("sink_retries", |r| r.sink.retries),
+    ("sink_dropped_writes", |r| r.sink.dropped_writes),
+];
+
 fn write_exports(report: &ResilienceReport) {
-    let dir = output_dir().join("resilience");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        println!("[could not create {}: {e}]", dir.display());
-        return;
-    }
-    let mut csv = Csv::new(vec![
-        "plan",
-        "workload",
-        "defense",
-        "outcome",
-        "false_negatives",
-        "tracker_applied",
-        "tracker_vacuous",
-        "nrrs_dropped",
-        "nrrs_deferred",
-        "nrrs_released",
-        "refreshes_postponed",
-        "commands_duplicated",
-        "parity_detections",
-        "repair_nrrs",
-        "sink_retries",
-        "sink_dropped_writes",
-    ]);
-    for cell in &report.cells {
-        let row = match &cell.outcome {
-            CellOutcome::Completed(run) => vec![
-                cell.plan.clone(),
-                cell.workload.clone(),
-                cell.defense.clone(),
-                "completed".into(),
-                run.false_negatives.to_string(),
-                run.faults.tracker_faults_applied.to_string(),
-                run.faults.tracker_faults_vacuous.to_string(),
-                run.faults.nrrs_dropped.to_string(),
-                run.faults.nrrs_deferred.to_string(),
-                run.faults.nrrs_released.to_string(),
-                run.faults.refreshes_postponed.to_string(),
-                run.faults.commands_duplicated.to_string(),
-                run.parity_detections.to_string(),
-                run.repair_nrrs.to_string(),
-                run.sink.retries.to_string(),
-                run.sink.dropped_writes.to_string(),
-            ],
-            CellOutcome::AuditViolation { message } => {
-                let mut row = vec![
-                    cell.plan.clone(),
-                    cell.workload.clone(),
-                    cell.defense.clone(),
-                    format!("audit-kill: {}", message.lines().next().unwrap_or(message)),
-                ];
-                row.extend(std::iter::repeat_n("-".to_string(), 12));
-                row
-            }
-        };
-        csv.row(row);
-    }
-    let csv_path = dir.join("resilience.csv");
-    match csv.write_to(&csv_path) {
-        Ok(()) => println!("[cell table written to {}]", csv_path.display()),
-        Err(e) => println!("[could not write {}: {e}]", csv_path.display()),
-    }
+    let csv: Csv = report
+        .cells
+        .iter()
+        .map(|cell| {
+            let outcome = match &cell.outcome {
+                CellOutcome::Completed(_) => "completed".to_owned(),
+                CellOutcome::AuditViolation { message } => {
+                    format!("audit-kill: {}", message.lines().next().unwrap_or(message))
+                }
+            };
+            let mut row = vec![
+                ("plan", cell.plan.clone()),
+                ("workload", cell.workload.clone()),
+                ("defense", cell.defense.clone()),
+                ("outcome", outcome),
+            ];
+            let run = cell.completed();
+            row.extend(COUNTER_COLUMNS.iter().map(|&(name, counter)| {
+                (name, run.map_or_else(|| "-".to_owned(), |run| counter(run).to_string()))
+            }));
+            row
+        })
+        .collect();
+    crate::write_output("resilience/resilience.csv", &csv.render());
     let merged = report.merged_snapshot("resilience-report");
-    let jsonl_path = dir.join("snapshot.jsonl");
-    match merged.write_jsonl(&jsonl_path) {
-        Ok(()) => println!("[snapshot written to {}]", jsonl_path.display()),
-        Err(e) => println!("[could not write {}: {e}]", jsonl_path.display()),
-    }
+    crate::write_output("resilience/snapshot.jsonl", &merged.to_jsonl());
 }

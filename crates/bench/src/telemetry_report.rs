@@ -1,7 +1,7 @@
 //! `telemetry-report`: instrumented sweep + per-defense summary tables +
 //! trajectory exports.
 //!
-//! Runs an instrumented `run_matrix_telemetry` sweep (attack and normal
+//! Runs an instrumented `run_matrix` sweep (attack and normal
 //! workloads against Graphene, PARA, and TWiCe), prints per-defense action
 //! rates the way Table 3 summarizes overheads, and exports:
 //!
@@ -14,10 +14,10 @@
 //!   / per-window NRR trajectories, the curve data behind the paper's
 //!   Figure 6/8-style analyses.
 
-use rh_analysis::export::{output_dir, Csv};
+use rh_analysis::export::Csv;
 use rh_analysis::report::pct;
 use rh_analysis::TablePrinter;
-use rh_sim::{run_matrix_telemetry, DefenseSpec, SimConfig, TelemetrySpec, WorkloadSpec};
+use rh_sim::{run_matrix, DefenseSpec, SimConfig, TelemetrySpec, WorkloadSpec};
 use telemetry::Snapshot;
 
 /// Runs the instrumented sweep and writes the exports.
@@ -43,7 +43,7 @@ pub fn run(fast: bool) {
         DefenseSpec::Twice { t_rh: 5_000 },
     ];
     let workloads = [WorkloadSpec::S3, WorkloadSpec::S1 { n: 10 }];
-    let m = run_matrix_telemetry(&cfg, &defenses, &workloads);
+    let m = run_matrix(&cfg, &defenses, &workloads);
 
     let mut table = TablePrinter::new(vec![
         "workload",
@@ -82,29 +82,11 @@ pub fn run(fast: bool) {
         );
     }
 
-    let dir = output_dir().join("telemetry");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        println!("[could not create {}: {e}]", dir.display());
-        return;
-    }
-    let jsonl_path = dir.join("snapshot.jsonl");
-    match merged.write_jsonl(&jsonl_path) {
-        Ok(()) => println!("[snapshot written to {}]", jsonl_path.display()),
-        Err(e) => println!("[could not write {}: {e}]", jsonl_path.display()),
-    }
-    let csv_path = dir.join("snapshot.csv");
-    match std::fs::write(&csv_path, merged.to_csv()) {
-        Ok(()) => println!("[long-form CSV written to {}]", csv_path.display()),
-        Err(e) => println!("[could not write {}: {e}]", csv_path.display()),
-    }
-
+    crate::write_output("telemetry/snapshot.jsonl", &merged.to_jsonl());
+    crate::write_output("telemetry/snapshot.csv", &merged.to_csv());
     for cell in m.cells.iter().filter(|c| c.defense == "Graphene") {
-        let csv = graphene_trajectory_csv(&cell.snapshot);
-        let path = dir.join(format!("graphene_{}.csv", cell.workload.to_lowercase()));
-        match csv.write_to(&path) {
-            Ok(()) => println!("[Graphene trajectory written to {}]", path.display()),
-            Err(e) => println!("[could not write {}: {e}]", path.display()),
-        }
+        let path = format!("telemetry/graphene_{}.csv", cell.workload.to_lowercase());
+        crate::write_output(path, &graphene_trajectory_csv(&cell.snapshot).render());
     }
 
     let progress = m.sweep.series_for("sweep.jobs_done", 0).expect("sweep progress recorded");
@@ -121,16 +103,17 @@ pub fn run(fast: bool) {
 
 /// Long-form trajectory table of one Graphene cell's scheme-specific series.
 fn graphene_trajectory_csv(snapshot: &Snapshot) -> Csv {
-    let mut csv = Csv::new(vec!["metric", "bank", "t_ps", "value"]);
-    for series in snapshot.series.iter().filter(|s| s.metric.starts_with("graphene.")) {
-        for sample in &series.samples {
-            csv.row(vec![
-                series.metric.clone(),
-                series.bank.to_string(),
-                sample.t_ps.to_string(),
-                format!("{}", sample.value),
-            ]);
-        }
-    }
-    csv
+    let graphene = snapshot.series.iter().filter(|s| s.metric.starts_with("graphene."));
+    graphene
+        .flat_map(|series| {
+            series.samples.iter().map(move |sample| {
+                vec![
+                    ("metric", series.metric.clone()),
+                    ("bank", series.bank.to_string()),
+                    ("t_ps", sample.t_ps.to_string()),
+                    ("value", format!("{}", sample.value)),
+                ]
+            })
+        })
+        .collect()
 }

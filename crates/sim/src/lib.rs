@@ -10,10 +10,11 @@
 //!   MRLoc, CBT, TWiCe, Ideal, None) and [`WorkloadSpec`] (S1–S4, the
 //!   Figure 7 patterns, SPEC-like mixes).
 //! * [`runner`] — the one baseline-relative sweep engine: each defense
-//!   runs on the same trace as a shared defense-free baseline, in parallel.
-//!   [`run_pair`] and the Figure 8/9 matrices score its cells as
-//!   [`SimReport`]s; [`arena`] and [`generations`] score the same cells
-//!   their own way.
+//!   runs on the same trace as a shared defense-free baseline, in parallel,
+//!   and a [`DefenseSpec::None`] entry is that baseline itself. The engine
+//!   hands every cell to a scorer: [`run_pair`] and [`run_matrix`] (the
+//!   Figure 8/9 matrices) score [`SimReport`]s, while [`arena`] and
+//!   [`generations`] score their own cells over one [`MatrixAxes`] config.
 //! * [`pool`] — the std-only work-stealing thread pool every parallel path
 //!   (sweeps, the resilience matrix, the streaming pipeline) runs on,
 //!   behind one entry point.
@@ -33,11 +34,12 @@
 //!   bit-identical kill/resume via `fleetckpt.v2` checkpoints and
 //!   multi-tenant trace synthesis.
 //! * [`arena`] — the tracker arena: Graphene, CoMeT, ABACuS, and
-//!   BlockHammer head to head across attack workloads and thresholds,
-//!   each audited cell scored on security (exact or bounded-FN
-//!   certificate), slowdown, area, and energy.
-//! * [`generations`] — the cross-generation matrix: the same lineup raced
-//!   on every DRAM generation ([`dram_model::Generation`]) with
+//!   BlockHammer head to head across attack workloads and thresholds
+//!   ([`MatrixAxes::arena_full`]), each audited cell scored on security
+//!   (exact or bounded-FN certificate), slowdown, area, and energy.
+//! * [`generations`] — the cross-generation matrix: the same trackers plus
+//!   the None and PARA baselines raced on every DRAM generation
+//!   ([`dram_model::Generation`], [`MatrixAxes::generations_full`]) with
 //!   per-generation derived parameters, RFM-issuing defenses on DDR5 and
 //!   LPDDR5, and a DDR4 column pinned bit-identical to the legacy path.
 //!
@@ -65,7 +67,7 @@ pub mod scenarios;
 pub mod sharded;
 pub mod spsc;
 
-pub use arena::{arena_lineup, run_arena, ArenaCell, ArenaConfig};
+pub use arena::{arena_lineup, run_arena, ArenaCell};
 pub use faulted::{
     plan_label, run_matrix_faulted, CellOutcome, FaultedRun, ResilienceCell, ResilienceReport,
 };
@@ -75,13 +77,11 @@ pub use fleet::{
     FleetError, FleetProgress, FleetReport, SupervisorConfig, SupervisorReport,
     FLEET_CKPT_FOOTER_SCHEMA, FLEET_CKPT_SCHEMA,
 };
-pub use generations::{
-    generation_lineup, run_generation_matrix, GenerationCell, GenerationMatrixConfig,
-};
+pub use generations::{generation_lineup, run_generation_matrix, GenerationCell};
 pub use pool::{PoolReport, WatchdogConfig};
 pub use runner::{
-    run_matrix, run_matrix_telemetry, run_pair, try_run_matrix, try_run_matrix_telemetry,
-    CellFailure, CellTelemetry, MatrixError, MatrixTelemetry, SimConfig, SimReport, TelemetrySpec,
+    run_matrix, run_pair, try_run_matrix, CellFailure, CellTelemetry, MatrixAxes, MatrixError,
+    MatrixTelemetry, SimConfig, SimReport, TelemetrySpec,
 };
 pub use scenarios::{DefenseSpec, GenSpec, SpecParseError, WorkloadSpec};
 pub use sharded::{run_system, run_system_sharded, SystemReport};

@@ -4,7 +4,7 @@
 //! number of worker threads. Each worker owns a deque; it pops from its own
 //! deque first and steals from siblings when empty. Jobs receive a
 //! [`Spawner`] and may enqueue further jobs mid-flight — the mechanism the
-//! baseline-relative sweep engine ([`crate::try_run_matrix_telemetry`],
+//! baseline-relative sweep engine ([`crate::try_run_matrix`],
 //! which the arena and generation matrix also run on) uses to fan a
 //! group's per-defense runs out as soon as that group's baseline finishes,
 //! without waiting for the other baselines.

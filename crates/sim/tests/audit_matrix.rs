@@ -28,7 +28,7 @@ fn full_grid_is_green_under_audit() {
     let defenses = all_defenses(5_000);
     let mut workloads = WorkloadSpec::adversarial_set();
     workloads.push(WorkloadSpec::MixHigh);
-    let reports = run_matrix(&cfg, &defenses, &workloads);
+    let reports = run_matrix(&cfg, &defenses, &workloads).reports;
     assert_eq!(reports.len(), defenses.len() * workloads.len());
 }
 
@@ -40,8 +40,8 @@ fn audit_does_not_change_results() {
     let plain = SimConfig { audit: false, ..audited.clone() };
     let defenses = [DefenseSpec::Graphene { t_rh: 5_000, k: 2 }, DefenseSpec::Para { p: 0.001 }];
     let workloads = [WorkloadSpec::S3, WorkloadSpec::S1 { n: 10 }];
-    let with_audit = run_matrix(&audited, &defenses, &workloads);
-    let without = run_matrix(&plain, &defenses, &workloads);
+    let with_audit = run_matrix(&audited, &defenses, &workloads).reports;
+    let without = run_matrix(&plain, &defenses, &workloads).reports;
     assert_eq!(with_audit.len(), without.len());
     for (a, b) in with_audit.iter().zip(&without) {
         assert_eq!(a.stats, b.stats, "({}, {})", a.workload, a.defense);

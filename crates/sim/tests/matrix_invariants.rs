@@ -7,7 +7,7 @@ fn reports_are_ordered_workload_major() {
     let cfg = SimConfig::attack_bank(5_000, 4_000);
     let defenses = [DefenseSpec::None, DefenseSpec::Twice { t_rh: 5_000 }];
     let workloads = [WorkloadSpec::S3, WorkloadSpec::S4, WorkloadSpec::S1 { n: 10 }];
-    let reports = run_matrix(&cfg, &defenses, &workloads);
+    let reports = run_matrix(&cfg, &defenses, &workloads).reports;
     assert_eq!(reports.len(), 6);
     for (i, r) in reports.iter().enumerate() {
         assert_eq!(r.workload, workloads[i / 2].name());
@@ -22,7 +22,7 @@ fn matrix_matches_individual_pairs() {
     let cfg = SimConfig::attack_bank(5_000, 6_000);
     let defense = DefenseSpec::Graphene { t_rh: 5_000, k: 2 };
     let workload = WorkloadSpec::S1 { n: 10 };
-    let from_matrix = &run_matrix(&cfg, &[defense], std::slice::from_ref(&workload))[0];
+    let from_matrix = &run_matrix(&cfg, &[defense], std::slice::from_ref(&workload)).reports[0];
     let from_pair = run_pair(&cfg, &defense, &workload);
     assert_eq!(from_matrix.stats, from_pair.stats);
     assert_eq!(from_matrix.slowdown, from_pair.slowdown);
@@ -38,7 +38,7 @@ fn energy_overhead_is_nonnegative_and_flipless_for_counter_schemes() {
         DefenseSpec::Ideal { t_rh: 4_000 },
     ];
     let workloads = WorkloadSpec::adversarial_set();
-    for r in run_matrix(&cfg, &defenses, &workloads) {
+    for r in run_matrix(&cfg, &defenses, &workloads).reports {
         assert!(r.energy_overhead >= 0.0);
         assert_eq!(r.stats.bit_flips, 0, "{} flipped under {}", r.defense, r.workload);
         assert!(r.stats.accesses == 20_000);
